@@ -106,13 +106,13 @@ def distance_profile(g: ExplicitGraph, source: int) -> DistanceProfile:
     )
 
 
-def _collect_histograms(g, sources, threads):
+def _collect_histograms(g, sources):
     """Per-source distance histograms padded to a common width, plus bookkeeping."""
     hists: list[np.ndarray] = []
     ids: list[int] = []
     connected = True
     width = 1
-    for chunk, rows in iter_distance_rows(g, sources=sources, threads=threads):
+    for chunk, rows in iter_distance_rows(g, sources=sources):
         if (rows < 0).any():
             connected = False
         for i in range(rows.shape[0]):
@@ -128,9 +128,7 @@ def _collect_histograms(g, sources, threads):
 
 
 def best_uniformity(
-    g: ExplicitGraph,
-    sources: Iterable[int] | None = None,
-    threads: int = 1,
+    g: ExplicitGraph, sources: Iterable[int] | None = None
 ) -> UniformityReport:
     """Critical distance minimizing the worst per-vertex offcount, ties to smaller d.
 
@@ -143,7 +141,7 @@ def best_uniformity(
     if g.n < 2:
         raise TooSmall(f"need at least 2 vertices, got {g.n}")
     n = g.n
-    ids, table, connected = _collect_histograms(g, sources, threads)
+    ids, table, connected = _collect_histograms(g, sources)
     if not ids:
         raise TooSmall("no sources to analyze")
     if table.shape[1] > 1:
@@ -164,7 +162,7 @@ def best_uniformity(
     )
 
 
-def is_distance_uniform(g: ExplicitGraph, epsilon, d: int, threads: int = 1) -> bool:
+def is_distance_uniform(g: ExplicitGraph, epsilon, d: int) -> bool:
     """True iff every vertex has at most epsilon * n other vertices not at distance d.
 
     Exact rational comparison; epsilon may be a Fraction, int, or 'p/q' string.
@@ -175,22 +173,21 @@ def is_distance_uniform(g: ExplicitGraph, epsilon, d: int, threads: int = 1) -> 
     if eps < 0 or d < 1:
         raise BadParams(f"need epsilon >= 0 and d >= 1, got {eps}, {d}")
     n = g.n
-    p, q = eps.numerator, eps.denominator
-    for _, rows in iter_distance_rows(g, threads=threads):
-        at_d = (rows == d).sum(axis=1)
-        off = (n - 1) - at_d
-        if (off * q > p * n).any():
+    # With eps = p/q and integer off: off * q > p * n  <=>  off > floor(p * n / q).
+    # The threshold stays a Python int, so huge p or q cannot overflow int64.
+    limit = eps.numerator * n // eps.denominator
+    for _, rows in iter_distance_rows(g):
+        off = (n - 1) - (rows == d).sum(axis=1)
+        if int(off.max()) > limit:
             return False
     return True
 
 
-def min_ball_sizes(
-    g: ExplicitGraph, radii: Iterable[int], threads: int = 1
-) -> dict[int, int]:
+def min_ball_sizes(g: ExplicitGraph, radii: Iterable[int]) -> dict[int, int]:
     """min over vertices of |N_radius(v)| (vertices within the radius, v included)."""
     radii = sorted(set(int(x) for x in radii))
     mins = {radius: g.n for radius in radii}
-    for _, rows in iter_distance_rows(g, threads=threads):
+    for _, rows in iter_distance_rows(g):
         reachable = rows >= 0
         for radius in radii:
             ball = (reachable & (rows <= radius)).sum(axis=1)
@@ -212,9 +209,7 @@ def radius_sequence(j: int) -> int:
     return (3**j - 1) // 2
 
 
-def check_neighborhood_growth(
-    g: ExplicitGraph, report: UniformityReport, threads: int = 1
-) -> list[GrowthRow]:
+def check_neighborhood_growth(g: ExplicitGraph, report: UniformityReport) -> list[GrowthRow]:
     """Neighborhood-growth ladder for the critical-distance upper bound.
 
     Base row: min |N_1(v)| >= epsilon^-1.  Then for each j with 2*r_j + 1 <= d
@@ -232,7 +227,7 @@ def check_neighborhood_growth(
         exponents.append(j + 1)
         j += 1
     radii = [radius_sequence(e) for e in exponents]
-    mins = min_ball_sizes(g, radii, threads=threads)
+    mins = min_ball_sizes(g, radii)
     rows = []
     for e, radius in zip(exponents, radii):
         required = Fraction(q, p) ** e

@@ -1,15 +1,13 @@
 """Command-line front end: generate, analyze, solve, plan, truncate, blowup, verify.
 
-All output is deterministic for fixed inputs; thread count never changes
-output bytes.  Exit status: 0 success, 1 verification failure, 2 usage or
-input error.
+All output is deterministic for fixed inputs.  Exit status: 0 success,
+1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -18,14 +16,10 @@ import numpy as np
 from .analyze import best_uniformity, is_distance_uniform
 from .graph import blow_up, build_explicit, load_edge_list, save_edge_list
 from .hanoi import HanoiParams, make_state, parse_state
-from .planner import OutOfRange, plan_parameters
+from .planner import plan_parameters
 from .solver import format_path, solve, verify_path
 from .truncation import iterate_truncation
 from .verification import run_verify_suite
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--epsilon", type=Fraction, help="with --d: test this exact epsilon")
     a.add_argument("--d", type=int, help="with --epsilon: test this critical distance")
     a.add_argument("--sources", type=int, help="sample this many evenly spaced source vertices")
-    a.add_argument("--threads", type=int, default=_default_threads())
     a.add_argument("--json", action="store_true")
 
     s = sub.add_parser("solve", help="construct a move path between two states")
@@ -81,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the full verification suite for one (r, k)")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--k", type=int, required=True)
-    v.add_argument("--threads", type=int, default=_default_threads())
     v.add_argument("--cap", type=int, default=26, metavar="BITS")
     v.add_argument("--sample-pairs", type=int, default=None,
                    help="cap on solver-suite pairs (default exhaustive)")
@@ -111,7 +103,7 @@ def _cmd_analyze(args) -> int:
         print("error: --epsilon and --d must be given together", file=sys.stderr)
         return 2
     if args.epsilon is not None:
-        ok = is_distance_uniform(g, args.epsilon, args.d, threads=args.threads)
+        ok = is_distance_uniform(g, args.epsilon, args.d)
         if args.json:
             print(json.dumps({
                 "n": g.n,
@@ -122,7 +114,7 @@ def _cmd_analyze(args) -> int:
         else:
             print("true" if ok else "false")
         return 0
-    report = best_uniformity(g, sources=_sample_sources(g.n, args.sources), threads=args.threads)
+    report = best_uniformity(g, sources=_sample_sources(g.n, args.sources))
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -205,8 +197,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_verify_suite(
-        args.r, args.k, threads=args.threads, cap=1 << args.cap,
-        pair_limit=args.sample_pairs,
+        args.r, args.k, cap=1 << args.cap, pair_limit=args.sample_pairs
     )
     if args.json:
         print(json.dumps([
@@ -245,9 +236,6 @@ def cli_dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except OutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ Graphs are simple and undirected; distances reported by the BFS helpers use
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -113,12 +112,6 @@ class ExplicitGraph:
             for w in self.neighbors_of(u):
                 if u < w:
                     yield u, int(w)
-
-    def to_scipy(self):
-        from scipy.sparse import csr_matrix
-
-        data = np.ones(self.indices.size, dtype=np.uint8)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def label_index(self) -> dict[str, int]:
         if self.labels is None:
@@ -226,52 +219,52 @@ def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
 
 
 def iter_distance_rows(
-    g: ExplicitGraph,
-    sources: Iterable[int] | None = None,
-    threads: int = 1,
-    chunk_size: int | None = None,
+    g: ExplicitGraph, sources: Iterable[int] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream (source_ids, distance_rows) chunks for many sources.
+    """Stream (source_ids, int32 distance_rows) chunks; -1 marks unreachable.
 
-    Backed by scipy's unweighted shortest-path scan.  Rows are independent per
-    source, so output is identical for any thread count or chunk size; -1
-    marks unreachable.
+    Bit-parallel multi-source BFS (Then et al., VLDB 2014): a chunk of up to 64
+    sources keeps one bit per source in a uint64 word per vertex, so one BFS
+    level for all of them is a gather over the CSR neighbor lists and an OR per
+    vertex.  A source's row holds the level at which its bit reached each vertex.
     """
-    from scipy.sparse import csgraph
-
     if sources is None:
         srcs = np.arange(g.n, dtype=np.int64)
     else:
         srcs = np.asarray(list(sources), dtype=np.int64)
     if srcs.size and (srcs.min() < 0 or srcs.max() >= g.n):
         raise BadVertex(f"source outside 0..{g.n - 1}")
-    if srcs.size == 0:
-        return
-    if chunk_size is None:
-        # Bound per-chunk memory to ~64 MiB of float64 rows.
-        chunk_size = max(1, min(int(srcs.size), (8 << 20) // max(1, g.n)))
-    chunks = [srcs[i:i + chunk_size] for i in range(0, srcs.size, chunk_size)]
-    csr = g.to_scipy()
+    # reduceat needs in-range, non-empty segments: OR only over vertices with neighbors.
+    has_nbrs = np.diff(g.indptr) > 0
+    starts = g.indptr[:-1][has_nbrs]
+    shifts = np.arange(64, dtype=np.uint64)
+    for lo in range(0, srcs.size, 64):
+        chunk = srcs[lo:lo + 64]
+        width = chunk.size
+        seen = np.zeros(g.n, dtype=np.uint64)
+        np.bitwise_or.at(seen, chunk, np.uint64(1) << shifts[:width])
+        rows = np.full((width, g.n), -1, dtype=np.int32)
+        rows[np.arange(width), chunk] = 0
+        front = seen
+        level = 0
+        while front.any():
+            level += 1
+            reached = np.zeros(g.n, dtype=np.uint64)
+            reached[has_nbrs] = np.bitwise_or.reduceat(front[g.indices], starts)
+            front = reached & ~seen
+            seen = seen | front
+            hit = np.flatnonzero(front)
+            bits = (front[hit, None] >> shifts[:width]) & np.uint64(1)
+            vert, src = np.nonzero(bits)
+            rows[src, hit[vert]] = level
+        yield chunk, rows
 
-    def run(chunk: np.ndarray) -> np.ndarray:
-        d = csgraph.dijkstra(csr, directed=True, unweighted=True, indices=chunk)
-        if d.ndim == 1:
-            d = d[None, :]
-        return np.where(np.isinf(d), -1, d).astype(np.int32)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            yield from zip(chunks, ex.map(run, chunks))
-    else:
-        for chunk in chunks:
-            yield chunk, run(chunk)
-
-
-def diameter(g: ExplicitGraph, threads: int = 1) -> tuple[int, bool]:
+def diameter(g: ExplicitGraph) -> tuple[int, bool]:
     """(max finite distance over all pairs, connected flag)."""
     best = 0
     connected = True
-    for _, rows in iter_distance_rows(g, threads=threads):
+    for _, rows in iter_distance_rows(g):
         if (rows < 0).any():
             connected = False
         best = max(best, int(rows.max()))

@@ -90,13 +90,7 @@ def verify_path(path: MovePath, params: HanoiParams) -> State:
     Raises :class:`IllegalMoveAt` naming the first illegal move (1-based), or
     an :class:`~dug.hanoi.InvalidState` error if the start itself is invalid.
     """
-    state = make_state(path.start, params)
-    for i, move in enumerate(path.moves, start=1):
-        try:
-            state = apply_move(state, move, params)
-        except MoveError as exc:
-            raise IllegalMoveAt(i, str(exc)) from exc
-    return state
+    return path_states(path, params)[-1]
 
 
 def path_states(path: MovePath, params: HanoiParams) -> list[State]:

@@ -42,9 +42,9 @@ class CheckResult:
     skipped: bool = False
 
 
-def _full_distance_matrix(g: ExplicitGraph, threads: int) -> np.ndarray:
+def _full_distance_matrix(g: ExplicitGraph) -> np.ndarray:
     dist = np.empty((g.n, g.n), dtype=np.int32)
-    for chunk, rows in iter_distance_rows(g, threads=threads):
+    for chunk, rows in iter_distance_rows(g):
         dist[chunk] = rows
     return dist
 
@@ -57,7 +57,6 @@ def _adjacency_by_moves(states, params):
 def run_verify_suite(
     r: int,
     k: int,
-    threads: int = 1,
     cap: int = DEFAULT_STATE_CAP,
     pair_limit: int | None = None,
 ) -> list[CheckResult]:
@@ -140,7 +139,7 @@ def run_verify_suite(
     target = 2**k - 1
 
     if n >= 2:
-        dist = _full_distance_matrix(gp, threads)
+        dist = _full_distance_matrix(gp)
 
         # Solver against the BFS oracle.
         total_pairs = n * n
@@ -183,7 +182,7 @@ def run_verify_suite(
 
         # Uniformity claim of the construction: at critical distance 2^k - 1
         # the achieved epsilon is at most k^2/r (vacuous when k^2/r >= 1).
-        report = best_uniformity(gp, threads=threads)
+        report = best_uniformity(gp)
         at_target = (n - 1) - (dist == target).sum(axis=1)
         eps_at_target = Fraction(int(at_target.max()), n)
         claim = Fraction(k * k, r)
@@ -217,7 +216,7 @@ def run_verify_suite(
                 CheckResult("min-degree bound", True, "vacuous at eps=0", skipped=True)
             )
         try:
-            rows = check_neighborhood_growth(gp, report, threads=threads)
+            rows = check_neighborhood_growth(gp, report)
             ok = all(row.ok for row in rows)
             detail = "; ".join(
                 f"|N_{row.radius}| >= {row.required}: min {row.min_ball}" for row in rows

@@ -1,6 +1,6 @@
 """Shared oracle helpers: pure-dict adjacency and BFS, independent of the library's
-CSR structures and of scipy, so production distance machinery is checked against
-a second route everywhere it matters."""
+CSR structures and its bit-parallel distance scan, so production distance
+machinery is checked against a second route everywhere it matters."""
 
 from __future__ import annotations
 

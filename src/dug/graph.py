@@ -57,10 +57,12 @@ class ExplicitGraph:
     """Immutable simple undirected graph with optional unique vertex labels.
 
     Adjacency is stored in CSR form (``indptr``/``indices``, neighbor lists
-    sorted ascending); instances are safe to share across threads.
+    sorted ascending); instances are safe to share across threads.  The
+    all-source distance histograms are kept once computed (see
+    :func:`distance_histograms`).
     """
 
-    __slots__ = ("n", "indptr", "indices", "labels")
+    __slots__ = ("n", "indptr", "indices", "labels", "_histograms")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  labels: tuple[str, ...] | None):
@@ -68,6 +70,7 @@ class ExplicitGraph:
         self.indptr = indptr
         self.indices = indices
         self.labels = labels
+        self._histograms = None
         indptr.setflags(write=False)
         indices.setflags(write=False)
 
@@ -255,8 +258,9 @@ def iter_distance_rows(
         width = chunk.size
         seen = np.zeros(g.n, dtype=np.uint64)
         np.bitwise_or.at(seen, chunk, np.uint64(1) << shifts[:width])
-        rows = np.full((width, g.n), -1, dtype=np.int32)
-        rows[np.arange(width), chunk] = 0
+        # Vertex-major while sweeping, so a level rewrites just the vertices it reached.
+        dist = np.full((g.n, width), -1, dtype=np.int32)
+        dist[chunk, np.arange(width)] = 0
         front = seen
         level = 0
         while front.any():
@@ -266,21 +270,56 @@ def iter_distance_rows(
             front = reached & ~seen
             seen = seen | front
             hit = np.flatnonzero(front)
-            bits = (front[hit, None] >> shifts[:width]) & np.uint64(1)
-            vert, src = np.nonzero(bits)
-            rows[src, hit[vert]] = level
-        yield chunk, rows
+            # Bit j of a word is source j: its little-endian bytes, unpacked low
+            # bit first, give each reached vertex one flag per source in order.
+            bits = np.unpackbits(front[hit].astype("<u8").view(np.uint8), bitorder="little")
+            block = dist[hit]
+            block[bits.view(bool).reshape(hit.size, 64)[:, :width]] = level
+            dist[hit] = block
+        yield chunk, np.ascontiguousarray(dist.T)
+
+
+def distance_histograms(
+    g: ExplicitGraph, sources: Iterable[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(source ids, table, connected): table[i, L] vertices at distance exactly L from source i.
+
+    ``table`` is a read-only int32 array as wide as the largest finite distance
+    seen plus one; unreachable vertices are in no column, and ``connected``
+    is False when any source misses a vertex.  With ``sources`` None every
+    vertex is a source and the result is kept on the graph, so later calls
+    (and every all-source analysis) reuse one sweep; a call naming sources
+    neither reads nor stores it.
+    """
+    if sources is None and g._histograms is not None:
+        return g._histograms
+    # Row i's distance v lands in bin i * span + v + 1, so column 0 counts its -1s.
+    ids, counts = [np.zeros(0, dtype=np.int64)], []
+    for chunk, rows in iter_distance_rows(g, sources=sources):
+        span = int(rows.max()) + 2
+        offsets = np.arange(len(rows), dtype=np.int32)[:, None] * span + 1
+        binned = np.bincount((rows + offsets).ravel(), minlength=len(rows) * span)
+        ids.append(chunk)
+        counts.append(binned.reshape(-1, span).astype(np.int32))
+    full = np.zeros((sum(map(len, counts)), max((c.shape[1] for c in counts), default=2)),
+                    dtype=np.int32)
+    lo = 0
+    for c in counts:
+        full[lo:lo + len(c), :c.shape[1]] = c
+        lo += len(c)
+    full.setflags(write=False)
+    ids = np.concatenate(ids)
+    ids.setflags(write=False)
+    result = (ids, full[:, 1:], not full[:, 0].any())
+    if sources is None:
+        g._histograms = result
+    return result
 
 
 def diameter(g: ExplicitGraph) -> tuple[int, bool]:
-    """(max finite distance over all pairs, connected flag)."""
-    best = 0
-    connected = True
-    for _, rows in iter_distance_rows(g):
-        if (rows < 0).any():
-            connected = False
-        best = max(best, int(rows.max()))
-    return best, connected
+    """(max finite distance over all pairs, connected flag), from the all-source histograms."""
+    _, table, connected = distance_histograms(g)
+    return table.shape[1] - 1, connected
 
 
 def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
@@ -289,6 +328,8 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     The first n_target mod n vertices get the ceiling copy count, the rest the
     floor.  Labels (when present) gain a ':<copy>' suffix.
     """
+    if g.n == 0:
+        raise ValueError("cannot blow up a graph with no vertices")
     if n_target < g.n:
         raise TooSmallTarget(f"target {n_target} below vertex count {g.n}")
     q, rem = divmod(n_target, g.n)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dug.analyze
+import dug.graph
+import dug.verification
 from dug import (
     BadParams,
     ExplicitGraph,
@@ -17,6 +20,7 @@ from dug import (
     check_min_degree,
     check_neighborhood_growth,
     check_upper_bound,
+    diameter,
     distance_profile,
     is_distance_uniform,
     min_ball_sizes,
@@ -33,6 +37,17 @@ def complete_graph(n):
 
 def path_graph(n):
     return ExplicitGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# Graphs the histogram-based analyses are checked on against bfs_distances.
+ORACLE_GRAPHS = {
+    "hanoi53": lambda: build_explicit(HanoiParams(5, 3, proper=True)),
+    "disconnected": lambda: ExplicitGraph.from_edges(7, [(0, 1), (2, 3), (3, 4)]),
+    "isolated": lambda: ExplicitGraph.from_edges(5, [(1, 3), (3, 4)]),
+    "edgeless": lambda: ExplicitGraph.from_edges(3, []),
+    "path": lambda: path_graph(6),
+    "single": lambda: ExplicitGraph.from_edges(1, []),
+}
 
 
 def oracle_offcounts(g, d):
@@ -116,6 +131,14 @@ class TestBestUniformity:
         assert len(sampled.per_vertex_offcount) == 4
         assert sampled.epsilon <= full.epsilon
 
+    @pytest.mark.parametrize("name", [k for k in ORACLE_GRAPHS if k != "single"])
+    def test_after_diameter_matches_fresh_graph(self, name):
+        g = ORACLE_GRAPHS[name]()
+        diameter(g)  # fills the kept all-source table first
+        rep = best_uniformity(g)
+        assert rep == best_uniformity(ORACLE_GRAPHS[name]())
+        assert rep.per_vertex_offcount == tuple(oracle_offcounts(g, rep.d))
+
     def test_json_dict(self):
         rep = best_uniformity(complete_graph(3))
         d = rep.to_json_dict()
@@ -135,6 +158,18 @@ class TestIsDistanceUniform:
         # the k^2/r = 1 guarantee holds at the critical distance
         assert is_distance_uniform(g, Fraction(4, 4), 3)
         assert not is_distance_uniform(g, Fraction(1, 4), 2)
+
+    @pytest.mark.parametrize("name", [k for k in ORACLE_GRAPHS if k != "single"])
+    def test_matches_oracle_past_diameter(self, name):
+        g = ORACLE_GRAPHS[name]()
+        diam, _ = diameter(g)
+        for d in range(1, diam + 3):
+            worst = max(oracle_offcounts(g, d))
+            assert is_distance_uniform(g, Fraction(worst, g.n), d)
+            if worst:
+                assert not is_distance_uniform(g, Fraction(worst - 1, g.n), d)
+        # past the diameter every other vertex is off
+        assert not is_distance_uniform(g, Fraction(g.n - 2, g.n), diam + 1)
 
     def test_bad_params(self):
         g = complete_graph(3)
@@ -205,19 +240,63 @@ class TestGrowth:
         assert all(row.ok for row in rows)
 
     def test_min_ball_matches_oracle(self):
-        g = build_explicit(HanoiParams(5, 3, proper=True))
-        balls = min_ball_sizes(g, [1, 4])
-        for radius in (1, 4):
-            want = min(
-                int(((bfs_distances(g, v) >= 0) & (bfs_distances(g, v) <= radius)).sum())
-                for v in range(g.n)
-            )
-            assert balls[radius] == want
+        # radius 0, the growth radii, radii past every eccentricity, a negative one
+        radii = [-1, 0, 1, 4, 7, 8, 40]
+        for name, make in ORACLE_GRAPHS.items():
+            g = make()
+            balls = min_ball_sizes(g, radii)
+            assert list(balls) == sorted(radii)
+            for radius in radii:
+                want = min(
+                    int(((bfs_distances(g, v) >= 0) & (bfs_distances(g, v) <= radius)).sum())
+                    for v in range(g.n)
+                )
+                assert balls[radius] == want, (name, radius)
 
     def test_zero_epsilon(self):
         g = complete_graph(4)
         with pytest.raises(ZeroEpsilon):
             check_neighborhood_growth(g, best_uniformity(g))
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Rows each later scan yields, counted in every dug module that binds the scan."""
+    counts = []
+    real = dug.graph.iter_distance_rows
+
+    def counting(g, sources=None):
+        for chunk, rows in real(g, sources):
+            counts.append(len(rows))
+            yield chunk, rows
+
+    for module in (dug, dug.graph, dug.analyze, dug.verification):
+        if getattr(module, "iter_distance_rows", None) is real:
+            monkeypatch.setattr(module, "iter_distance_rows", counting)
+    return counts
+
+
+class TestOneSweep:
+    def test_four_analyses_share_one_sweep(self, scanned):
+        g = build_explicit(HanoiParams(5, 3, proper=True))
+        rep = best_uniformity(g)
+        assert is_distance_uniform(g, rep.epsilon, rep.d)
+        assert all(row.ok for row in check_neighborhood_growth(g, rep))
+        assert diameter(g) == (7, True)
+        assert sum(scanned) == g.n
+        twin = build_explicit(HanoiParams(5, 3, proper=True))
+        assert twin == g
+        assert diameter(twin) == (7, True)
+        assert sum(scanned) == 2 * g.n
+
+    def test_sampled_call_neither_reads_nor_fills(self, scanned):
+        g = build_explicit(HanoiParams(5, 3, proper=True))
+        best_uniformity(g, sources=[0, 7, 21])
+        assert sum(scanned) == 3
+        best_uniformity(g)
+        assert sum(scanned) == 3 + g.n
+        best_uniformity(g, sources=[0, 7, 21])
+        assert sum(scanned) == 6 + g.n
 
 
 class TestUpperBound:

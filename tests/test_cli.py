@@ -135,6 +135,18 @@ def test_blowup(tmp_path, capsys):
     assert g.n == 4 and g.m == 4
 
 
+@pytest.mark.parametrize("n_target", ["3", "0"])
+def test_blowup_of_empty_graph_is_refused(tmp_path, capsys, n_target):
+    src = tmp_path / "empty.dug"
+    src.write_text("dug 1 0 0\n")
+    out = tmp_path / "b.dug"
+    code, _, stderr = run(capsys, "blowup", "--in", str(src), "--n-target", n_target,
+                          "--out", str(out))
+    assert code == 2
+    assert stderr == "error: cannot blow up a graph with no vertices\n"
+    assert not out.exists()
+
+
 def test_verify_pass(capsys):
     code, stdout, _ = run(capsys, "verify", "--r", "3", "--k", "2")
     assert code == 0

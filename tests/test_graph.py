@@ -18,6 +18,7 @@ from dug import (
     blow_up,
     build_explicit,
     diameter,
+    distance_histograms,
     enumerate_states,
     iter_distance_rows,
     load_edge_list,
@@ -186,12 +187,23 @@ class TestDistanceRows:
             ExplicitGraph.from_edges(5, [(0, 1), (2, 3)]),
             # isolated vertices first and in the middle of the CSR arrays
             ExplicitGraph.from_edges(4, [(1, 3)]),
+            ExplicitGraph.from_edges(3, []),
+            ExplicitGraph.from_edges(1, []),
+            path_graph(6),
         ):
             want = np.stack([bfs_distances(g, v) for v in range(g.n)])
             got = np.empty_like(want)
             for chunk, rows in iter_distance_rows(g):
                 got[chunk] = rows
             assert np.array_equal(got, want)
+            ids, table, connected = distance_histograms(g)
+            width = int(want.max()) + 1
+            assert ids.tolist() == list(range(g.n))
+            assert table.dtype == np.int32
+            assert table.tolist() == [np.bincount(row[row >= 0], minlength=width).tolist()
+                                      for row in want]
+            assert connected == bool((want >= 0).all())
+            assert diameter(g) == (width - 1, connected)
 
     def test_source_selection(self):
         g = path_graph(5)
@@ -205,6 +217,31 @@ class TestDistanceRows:
         assert np.concatenate([c for c, _ in chunks]).tolist() == sources
         want = np.stack([bfs_distances(g, s) for s in sources])
         assert np.array_equal(np.concatenate([r for _, r in chunks]), want)
+
+
+class TestDistanceHistograms:
+    def test_kept_table_is_read_only(self):
+        g = path_graph(5)
+        ids, table, _ = distance_histograms(g)
+        assert distance_histograms(g)[1] is table
+        with pytest.raises(ValueError):
+            table[0, 1] = 0
+        with pytest.raises(ValueError):
+            ids[0] = 1
+
+    def test_sampled_sources(self):
+        g = ExplicitGraph.from_edges(5, [(0, 1), (1, 2)])
+        ids, table, connected = distance_histograms(g, sources=[4, 0, 0])
+        assert ids.tolist() == [4, 0, 0]
+        # width follows the farthest vertex the named sources reach
+        assert table.tolist() == [[1, 0, 0], [1, 1, 1], [1, 1, 1]]
+        assert not connected
+        assert distance_histograms(g)[1].shape == (5, 3)
+
+    def test_no_vertices(self):
+        ids, table, connected = distance_histograms(ExplicitGraph.from_edges(0, []))
+        assert ids.size == 0 and table.shape == (0, 1) and connected
+        assert diameter(ExplicitGraph.from_edges(0, [])) == (0, True)
 
 
 class TestDiameter:
@@ -427,6 +464,11 @@ class TestBlowUp:
     def test_too_small(self):
         with pytest.raises(TooSmallTarget):
             blow_up(complete_graph(3), 2)
+
+    @pytest.mark.parametrize("n_target", [3, 0])
+    def test_no_vertices(self, n_target):
+        with pytest.raises(ValueError, match="^cannot blow up a graph with no vertices$"):
+            blow_up(ExplicitGraph.from_edges(0, []), n_target)
 
     def test_distance_preservation(self):
         g = path_graph(4)

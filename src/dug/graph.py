@@ -326,13 +326,22 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     """Replace vertex v by an independent set of copies, joined exactly when originals were.
 
     The first n_target mod n vertices get the ceiling copy count, the rest the
-    floor.  Labels (when present) gain a ':<copy>' suffix.
+    floor.  Labels (when present) gain a ':<copy>' suffix.  Raises
+    :class:`TooLarge`, before building anything, when the result would have
+    more than DEFAULT_STATE_CAP vertices or edges.
     """
     if g.n == 0:
         raise ValueError("cannot blow up a graph with no vertices")
     if n_target < g.n:
         raise TooSmallTarget(f"target {n_target} below vertex count {g.n}")
     q, rem = divmod(n_target, g.n)
+    # Edges with both, one or none of their ends among the rem vertices with q + 1 copies.
+    both = int(np.count_nonzero(g.indices[:g.indptr[rem]] < rem)) // 2
+    one = int(g.indptr[rem]) - 2 * both
+    m_out = both * (q + 1) ** 2 + one * q * (q + 1) + (g.m - both - one) * q * q
+    if max(n_target, m_out) > DEFAULT_STATE_CAP:
+        raise TooLarge(f"blow-up to {n_target} vertices would have {m_out} edges; "
+                       f"vertices and edges are capped at {DEFAULT_STATE_CAP}")
     counts = np.full(g.n, q, dtype=np.int64)
     counts[:rem] += 1
     offsets = np.zeros(g.n + 1, dtype=np.int64)
@@ -382,77 +391,44 @@ def load_edge_list(path) -> ExplicitGraph:
     out-of-range vertices, self-loops, u >= v, or duplicates, and
     :class:`InconsistentHeader` when the body disagrees with the header.
 
-    Files in the canonical form that save_edge_list writes are parsed in bulk;
-    every other file is parsed line by line, with the same result.
+    The run of canonical lines 'e <u> <v>\\n' that ends a file, from its first
+    line that begins 'e ', is read in bulk; the lines before it go through the
+    line parser.  When that run holds any other line, or the file has any
+    fault, the whole file is parsed line by line, so errors and their line
+    numbers come from one parser.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    g = _parse_canonical(data)
-    if g is None:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-            g = _parse_lines(fh)
-    return g
+    split = data.find(b"\ne ") + 1
+    tail = _canonical_edges(data[split:]) if split else None
+    if tail is not None:
+        try:
+            with io.TextIOWrapper(io.BytesIO(data[:split]), encoding="utf-8") as head:
+                return _parse_lines(head, tail)
+        except ValueError:  # the whole-file parse below reports it, with its line
+            pass
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+        return _parse_lines(fh)
 
 
-# Longest count or vertex id the bulk parser reads: every 18-digit decimal fits in int64.
+# Longest vertex id the bulk reader takes: every 18-digit decimal fits in int64.
 _MAX_DIGITS = 18
 _EDGE_SEPARATORS = bytes.maketrans(b"e\n", b"  ")
 
 
-def _parse_canonical(data: bytes) -> ExplicitGraph | None:
-    """The graph of a file in canonical form, or None when in any doubt.
+def _canonical_edges(block: bytes) -> np.ndarray | None:
+    """(m, 2) endpoints of the lines 'e <u> <v>' making up block, or None if any line differs.
 
-    Canonical: the header 'dug 1 <n> <m>', then no label lines or exactly the
-    n lines 'l <v> <text>' for v = 0..n-1 in order, then exactly m lines
-    'e <u> <v>' with single spaces and ASCII digits; every line ends in '\\n',
-    with no comments, blank lines or '\\r'.  None is also returned for any
-    content the line parser rejects, so that parser alone reports errors.
+    Each line must be 'e', a space, a run of at most _MAX_DIGITS ASCII digits,
+    a space, another such run and '\\n', with u < v.  Once every line has its
+    'e' first and two single spaces around two non-empty runs, the remaining
+    bytes must all be digits.
     """
-    if not data.endswith(b"\n"):
+    if not block.endswith(b"\n"):
         return None
-    newlines = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    header = data[:newlines[0]].split(b" ")
-    if len(header) != 4 or header[:2] != [b"dug", b"1"] or not all(
-            count.isdigit() and len(count) <= _MAX_DIGITS for count in header[2:]):
-        return None
-    n, m = int(header[2]), int(header[3])
-    n_labels = n if data.startswith(b"l ", newlines[0] + 1) else 0
-    if newlines.size != 1 + n_labels + m:
-        return None
-    body = newlines[n_labels] + 1
-    labels = None
-    if n_labels:
-        block = data[newlines[0] + 1:body - 1]
-        if b"\r" in block:
-            return None
-        try:
-            lines = block.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            return None
-        labels = []
-        for v, line in enumerate(lines):
-            fields = line.split(None, 2)
-            if line != line.strip() or len(fields) != 3 or fields[:2] != ["l", str(v)]:
-                return None
-            labels.append(fields[2])
-    edges = _canonical_edges(data[body:], newlines[1 + n_labels:] - body)
-    if edges is None or not (edges[:, 0] < edges[:, 1]).all():
-        return None
-    try:
-        return ExplicitGraph.from_edges(n, edges, labels)
-    except ValueError:  # a vertex out of range, a duplicate edge or label text
-        return None
-
-
-def _canonical_edges(block: bytes, ends: np.ndarray) -> np.ndarray | None:
-    """(m, 2) endpoints of the m lines 'e <u> <v>' of block, or None if any line differs.
-
-    ``ends`` holds the offset of each line's newline.  Once every line has its
-    'e' first and two single spaces around two non-empty runs of at most
-    _MAX_DIGITS bytes, the remaining bytes must all be digits.
-    """
-    m = ends.size
     chars = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    m = ends.size
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     spaces = np.flatnonzero(chars == ord(" "))
@@ -463,14 +439,19 @@ def _canonical_edges(block: bytes, ends: np.ndarray) -> np.ndarray | None:
             and (mid >= starts + 3).all() and (mid <= ends - 2).all()
             and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * m):
         return None
-    if max((mid - starts).max(initial=0) - 2, (ends - mid).max(initial=0) - 1) > _MAX_DIGITS:
+    if max((mid - starts).max() - 2, (ends - mid).max() - 1) > _MAX_DIGITS:
         return None
     # With 'e' and '\n' turned into spaces, only the 2m numbers are left.
-    return np.fromstring(block.translate(_EDGE_SEPARATORS), dtype=np.int64, sep=" ").reshape(m, 2)
+    edges = np.fromstring(block.translate(_EDGE_SEPARATORS), dtype=np.int64, sep=" ").reshape(m, 2)
+    return edges if (edges[:, 0] < edges[:, 1]).all() else None
 
 
-def _parse_lines(lines: Iterable[str]) -> ExplicitGraph:
-    """Line-by-line parser for any valid file; the only source of parse errors."""
+def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:
+    """Line-by-line parser for any valid file; the only source of parse errors.
+
+    ``tail`` holds the (m, 2) edges of lines that follow ``lines`` in the file,
+    already read in bulk; they are counted and checked with the others.
+    """
     header = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -538,8 +519,11 @@ def _parse_lines(lines: Iterable[str]) -> ExplicitGraph:
     if header is None:
         raise InconsistentHeader("empty file: no header found")
     n, m = header
-    if len(edges) != m:
-        raise InconsistentHeader(f"header declares {m} edges, file has {len(edges)}")
+    edge_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if tail is not None:
+        edge_arr = np.concatenate([edge_arr, tail]) if edges else tail
+    if len(edge_arr) != m:
+        raise InconsistentHeader(f"header declares {m} edges, file has {len(edge_arr)}")
     labels = None
     if label_map:
         if len(label_map) != n:
@@ -547,4 +531,4 @@ def _parse_lines(lines: Iterable[str]) -> ExplicitGraph:
                 f"labels must cover all {n} vertices, found {len(label_map)}"
             )
         labels = tuple(label_map[v] for v in range(n))
-    return ExplicitGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), labels)
+    return ExplicitGraph.from_edges(n, edge_arr, labels)

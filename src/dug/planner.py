@@ -94,6 +94,53 @@ def _k_bound_ok(k: int, base_n: int, sel: Fraction) -> bool:
     return q ** (6 * k) >= base_n * p ** (6 * k)
 
 
+def _pow_bound(n: int, p: int, bits: int, up: bool) -> tuple[int, int]:
+    """(c, e) with c * 2**e <= n**p, or >= n**p when ``up``; c keeps about ``bits`` bits.
+
+    Binary exponentiation on truncated mantissas: each product is rounded
+    down (or up) to its top ``bits`` bits, so the bound stays on its side.
+    """
+    def trim(c: int, e: int) -> tuple[int, int]:
+        drop = c.bit_length() - bits
+        if drop <= 0:
+            return c, e
+        return (-(-c >> drop) if up else c >> drop), e + drop
+
+    result, base = (1, 0), trim(n, 0)
+    while p:
+        if p & 1:
+            result = trim(result[0] * base[0], result[1] + base[1])
+        p >>= 1
+        if p:
+            base = trim(base[0] * base[0], 2 * base[1])
+    return result
+
+
+def _pow_at_most_pow2(n: int, p: int, q: int) -> bool:
+    """Exactly n**p <= 2**q, for n >= 2 and p >= 1, without forming n**p.
+
+    With 2**a <= n < 2**(a+1), n**p lies strictly between 2**(a*p) and
+    2**((a+1)*p) unless n is a power of two; only in that band are bounds of
+    growing precision needed, and they separate because n**p != 2**q there.
+    """
+    a = n.bit_length() - 1
+    if n == 1 << a:
+        return a * p <= q
+    if a * p >= q:
+        return False
+    if (a + 1) * p <= q:
+        return True
+    bits = 64
+    while True:
+        c, e = _pow_bound(n, p, bits, up=False)
+        if (c - 1).bit_length() > q - e:  # c * 2**e > 2**q
+            return False
+        c, e = _pow_bound(n, p, bits, up=True)
+        if (c - 1).bit_length() <= q - e:  # c * 2**e <= 2**q
+            return True
+        bits *= 2
+
+
 def plan_parameters(n: int, epsilon) -> Plan:
     """Plan a construction for an n-vertex graph that is epsilon-distance-uniform.
 
@@ -108,7 +155,7 @@ def plan_parameters(n: int, epsilon) -> Plan:
     if eps < Fraction(1, n) or eps > 1:
         raise OutOfRange(f"epsilon {eps} outside [1/{n}, 1]")
     p, q = eps.numerator, eps.denominator
-    within = n**p <= 2**q  # eps <= 1 / log2(n)
+    within = _pow_at_most_pow2(n, p, q)  # eps <= 1 / log2(n)  <=>  n^p <= 2^q
 
     if p * p * n < 4 * q * q:  # eps < 2 / sqrt(n): constant d suffices, take K_n
         return Plan(

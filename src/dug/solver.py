@@ -18,8 +18,6 @@ from .hanoi import (
     INVOLUTE,
     Adjust,
     HanoiParams,
-    Involute,
-    InvalidState,
     Move,
     MoveError,
     State,

@@ -27,7 +27,6 @@ from .hanoi import (
     IllegalInvolute,
     apply_move,
     enumerate_states,
-    has_disjoint_support,
     neighbors,
 )
 from .solver import path_states, solve
@@ -193,9 +192,8 @@ def run_verify_suite(
         detail += f"; best report d={report.d} eps={report.epsilon}"
         results.append(CheckResult("uniformity eps <= k^2/r at d = 2^k - 1", ok, detail))
 
-        # Diameter.
-        diam = int(dist.max())
-        connected = bool((dist >= 0).all())
+        # Diameter, from the distance table best_uniformity kept.
+        diam, connected = diameter(gp)
         if r >= k + 1:
             ok = diam == target
             detail = f"diameter {diam} (want {target})"

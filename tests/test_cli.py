@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,24 @@ def test_plan_text_and_json(capsys):
     assert "warning" in stderr  # 1/2 > 1/log2(16)
 
 
+@pytest.mark.parametrize(
+    "epsilon,warned,fields",
+    [
+        ("99999999/100000000", True, "degenerate false\nm 2 a 2 b 0\nr 16 k 1 base_n 16\n"
+         "predicted_d 1\ncopies floor 6 ceil 7 ceil_vertices 4\n"),
+        ("33333333/221461873", False, "degenerate true\nr 100 k 1 base_n 100\n"
+         "predicted_d 1\ncopies floor 1 ceil 1 ceil_vertices 0\n"),  # just under 1/log2(100)
+    ],
+)
+def test_plan_with_large_epsilon_terms(capsys, epsilon, warned, fields):
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "plan", "--n", "100", "--epsilon", epsilon)
+    assert time.perf_counter() - start < 10  # never forms 100 ** 99999999
+    assert code == 0
+    assert stdout == f"n_target 100\nepsilon {epsilon}\n" + fields
+    assert ("warning" in stderr) == warned
+
+
 def test_plan_out_of_range(capsys):
     code, _, stderr = run(capsys, "plan", "--n", "16", "--epsilon", "1/32")
     assert code == 2
@@ -144,6 +163,19 @@ def test_blowup_of_empty_graph_is_refused(tmp_path, capsys, n_target):
                           "--out", str(out))
     assert code == 2
     assert stderr == "error: cannot blow up a graph with no vertices\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_target", ["100000000", str(10**30)])
+def test_blowup_past_the_size_cap_is_refused(tmp_path, capsys, n_target):
+    src = str(tmp_path / "g.dug")
+    out = tmp_path / "b.dug"
+    run(capsys, "generate", "--r", "16", "--k", "2", "--proper", "--out", src)
+    code, stdout, stderr = run(capsys, "blowup", "--in", src, "--n-target", n_target,
+                               "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: blow-up to {n_target} vertices would have ")
+    assert stderr.count("\n") == 1
     assert not out.exists()
 
 

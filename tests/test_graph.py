@@ -1,6 +1,7 @@
 import tempfile
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dug import (
     state_index,
 )
 
-from dug.graph import _parse_canonical, _parse_lines
+from dug.graph import _canonical_edges, _parse_lines
 
 from conftest import move_adjacency
 
@@ -52,6 +53,11 @@ def reference_text(g):
         out += [f"l {v} {lab}\n" for v, lab in enumerate(g.labels)]
     out += [f"e {u} {v}\n" for u, v in reference_edges(g)]
     return "".join(out)
+
+
+def edge_block(data: bytes) -> bytes:
+    """The bytes from the first line that begins 'e ' to the end of the file."""
+    return data[data.find(b"\ne ") + 1:] if b"\ne " in data else b""
 
 
 @st.composite
@@ -327,8 +333,10 @@ class TestEdgeListIO:
     def test_save_matches_reference_writer(self, tmp_path, g):
         f = tmp_path / "g.dug"
         save_edge_list(g, f)
-        assert f.read_bytes() == reference_text(g).encode()
-        assert _parse_canonical(f.read_bytes()) == g
+        data = f.read_bytes()
+        assert data == reference_text(g).encode()
+        bulk = _canonical_edges(edge_block(data))
+        assert bulk is None if g.m == 0 else np.array_equal(bulk, g.edge_array())
 
     @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", " a", "a ", 7])
     def test_save_refuses_label_that_would_not_load_back(self, tmp_path, bad):
@@ -401,6 +409,23 @@ def outcome(parse):
         return type(exc), getattr(exc, "line", None)
 
 
+def line_parser_outcome(f):
+    with open(f, encoding="utf-8") as fh:
+        return outcome(lambda: _parse_lines(fh))
+
+
+def load_traced(f):
+    """(outcome of load_edge_list(f), the bulk-read tail handed to each _parse_lines call)."""
+    tails = []
+
+    def spy(lines, tail=None):
+        tails.append(tail)
+        return _parse_lines(lines, tail)
+
+    with mock.patch("dug.graph._parse_lines", spy):
+        return outcome(lambda: load_edge_list(f)), tails
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -412,8 +437,10 @@ def outcome(parse):
         "dug 1 3 1\ne  1\n",                        # empty first endpoint
         "dug 1 3 1\ne 1 \n",                        # empty second endpoint
         "dug 1 3 1\ne 0 99999999999999999999\n",    # endpoint beyond int64
-        "dug 1 2 1\nl 0 a \nl 1 b\ne 0 1\n",        # trailing space after a label
-        "dug 1 2 1\nl 0 a\rb\nl 1 c\ne 0 1\n",      # carriage return inside a label line
+        "dug 1 3 2\ne 0 1\ne 1 2 \n",               # trailing space after the last edge
+        "dug 1 3 2\ne 0 1\r\ne 1 2\n",              # CRLF inside the edge block
+        "dug 1 3 2\ne 0 1\n# note\ne 1 2\n",        # comment inside the edge block
+        "dug 1 3 2\ne 0 1\ne 2 1\n",                # u > v
         "dug 1 2 1\nl 0 a\nl 1 b\ne 0 1",           # no final newline
         "dug 1 3 x\n",
         "dug 1 " + "1" * 5000 + " 0\n",             # count too long for int()
@@ -422,10 +449,43 @@ def outcome(parse):
 def test_bulk_parser_defers_on_near_canonical_files(tmp_path, body):
     f = tmp_path / "g.dug"
     f.write_bytes(body.encode())
-    assert _parse_canonical(f.read_bytes()) is None
-    with open(f, encoding="utf-8") as fh:
-        want = outcome(lambda: _parse_lines(fh))
-    assert outcome(lambda: load_edge_list(f)) == want
+    assert _canonical_edges(edge_block(f.read_bytes())) is None
+    assert load_traced(f) == (line_parser_outcome(f), [None])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "# made by hand\r\n\r\ndug 1 3 2\r\n# labels\r\nl 2 c\r\nl 0 a\r\n\r\nl 1 b\r\n"
+        "e 0 1\ne 1 2\n",
+        "dug 1 2 1\nl 0 a \nl 1 b\ne 0 1\n",        # trailing space after a label
+        "dug 1 3 2\n\te 0 2\ne 1 2\n",              # an edge line read by the line parser
+    ],
+)
+def test_bulk_parser_reads_edges_after_any_head(tmp_path, body):
+    f = tmp_path / "g.dug"
+    f.write_bytes(body.encode())
+    got, tails = load_traced(f)
+    assert isinstance(got, ExplicitGraph) and got == line_parser_outcome(f)
+    assert len(tails) == 1 and np.array_equal(tails[0], _canonical_edges(edge_block(body.encode())))
+
+
+@pytest.mark.parametrize(
+    "body,want",
+    [
+        ("dug 1 3 2\ne 0 1\ne 1 9\n", (ParseError, 3)),             # vertex out of range
+        ("dug 1 3 2\ne\t0 1\ne 0 1\n", (ParseError, 3)),            # repeats an edge of the head
+        ("dug 1 3 1\ne 0 1\ne 1 2\n", (InconsistentHeader, None)),  # one edge more than declared
+        ("dug 1 3 3\ne 0 1\ne 1 2\n", (InconsistentHeader, None)),  # one edge fewer
+        ("dug 1 2 1\nl 0 a\rb\nl 1 c\ne 0 1\n", (ParseError, 3)),  # carriage return in a label
+    ],
+)
+def test_errors_after_bulk_read_match_line_parser(tmp_path, body, want):
+    f = tmp_path / "g.dug"
+    f.write_bytes(body.encode())
+    got, tails = load_traced(f)
+    assert got == line_parser_outcome(f) == want
+    assert len(tails) == 2 and tails[0] is not None and tails[1] is None
 
 
 @settings(max_examples=300)
@@ -435,11 +495,15 @@ def test_bulk_parser_matches_line_parser(g, mutation, data):
     with tempfile.TemporaryDirectory() as tmp:
         f = Path(tmp) / "g.dug"
         f.write_bytes(text.encode())
-        if mutation == "none":
-            assert _parse_canonical(f.read_bytes()) == g
-        with open(f, encoding="utf-8") as fh:
-            want = outcome(lambda: _parse_lines(fh))
-        assert outcome(lambda: load_edge_list(f)) == want
+        got, tails = load_traced(f)
+        assert got == line_parser_outcome(f)
+    if mutation == "none":
+        assert got == g
+    block = "".join(f"e {u} {v}\n" for u, v in reference_edges(g)).encode()
+    if g.m and edge_block(text.encode()) == block:
+        # Every line the mutation touched lies before the first edge line.
+        assert np.array_equal(tails[0], g.edge_array())
+        assert len(tails) == (1 if isinstance(got, ExplicitGraph) else 2)
 
 
 class TestBlowUp:
@@ -464,6 +528,12 @@ class TestBlowUp:
     def test_too_small(self):
         with pytest.raises(TooSmallTarget):
             blow_up(complete_graph(3), 2)
+
+    @pytest.mark.parametrize("n_target", [10**8, 10**30])
+    def test_size_cap(self, n_target):
+        # 10**8 vertices from G*_{16,2} would take 2.21 PiB of edge arrays.
+        with pytest.raises(TooLarge, match=f"^blow-up to {n_target} vertices would have"):
+            blow_up(build_explicit(HanoiParams(16, 2, proper=True)), n_target)
 
     @pytest.mark.parametrize("n_target", [3, 0])
     def test_no_vertices(self, n_target):
@@ -501,7 +571,14 @@ class TestBlowUp:
         if g.labels is not None:
             labels = [f"{g.labels[v]}:{i}" for v in range(g.n) for i in range(counts[v])]
         edge_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        assert blow_up(g, n_target) == ExplicitGraph.from_edges(n_target, edge_arr, labels)
+        want = ExplicitGraph.from_edges(n_target, edge_arr, labels)
+        assert blow_up(g, n_target) == want
+        # The size cap counts the result's vertices and edges exactly.
+        with mock.patch("dug.graph.DEFAULT_STATE_CAP", max(n_target, want.m)):
+            assert blow_up(g, n_target) == want
+        with mock.patch("dug.graph.DEFAULT_STATE_CAP", max(n_target, want.m) - 1):
+            with pytest.raises(TooLarge):
+                blow_up(g, n_target)
 
     def test_same_vertex_copies_at_distance_two(self):
         b = blow_up(complete_graph(3), 6)

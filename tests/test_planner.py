@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dug import HanoiParams, OutOfRange, plan_parameters
+from dug.planner import _pow_at_most_pow2, _pow_bound
 
 
 def test_direct_mode_known_point():
@@ -117,3 +119,25 @@ def test_plan_invariants_random(n, num, den):
     assert total == n
     # deterministic
     assert plan_parameters(n, eps) == plan
+
+
+@given(st.integers(2, 300), st.integers(1, 60), st.integers(-3, 3))
+def test_pow_at_most_pow2_is_exact(n, p, offset):
+    # q within a few units of log2(n^p): mostly inside the band the bounds must decide.
+    q = max(0, (n**p).bit_length() - 1 + offset)
+    assert _pow_at_most_pow2(n, p, q) == (n**p <= 2**q)
+
+
+@pytest.mark.parametrize("half", [100, 1000])
+def test_pow_at_most_pow2_near_a_power_of_two(half):
+    # n^2 is within a factor 1 + 2^-half of 2^(2 half + 1): 64-bit bounds cannot decide.
+    n = math.isqrt(2 << 2 * half)
+    assert _pow_at_most_pow2(n, 2, 2 * half + 1)
+    assert not _pow_at_most_pow2(n + 1, 2, 2 * half + 1)
+
+
+@given(st.integers(2, 10**6), st.integers(1, 200), st.integers(1, 12), st.booleans())
+def test_pow_bound_is_on_its_side(n, p, bits, up):
+    c, e = _pow_bound(n, p, bits, up)
+    assert c.bit_length() <= bits + 1
+    assert (c << e >= n**p) if up else (c << e <= n**p)

@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--cap", type=int, default=26, metavar="BITS")
     v.add_argument("--sample-pairs", type=int, default=None,
-                   help="cap on solver-suite pairs (default exhaustive)")
+                   help="replay at most this many pair orbits, evenly sampled "
+                        "(default: every orbit, which covers all pairs)")
     v.add_argument("--json", action="store_true")
     return parser
 

@@ -214,3 +214,29 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert cli_dispatch(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_verify_refuses_empty_pair_sample(capsys, limit):
+    code, stdout, stderr = run(capsys, "verify", "--r", "3", "--k", "2", "--sample-pairs", limit)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: pair sample must be at least 1, got {limit}\n"
+
+
+def test_verify_samples_orbits(capsys):
+    code, stdout, _ = run(capsys, "verify", "--r", "4", "--k", "4", "--sample-pairs", "100")
+    assert code == 0
+    row = next(line for line in stdout.splitlines() if "solver vs BFS bounds" in line)
+    assert row.startswith(
+        "[PASS] solver vs BFS bounds: sampled 100 of 2795 orbit representatives, covering "
+    )
+    assert row.endswith(" of 65536 pairs")
+
+
+def test_verify_at_planner_scale(capsys):
+    # 16.8 M ordered pairs in 4 140 orbits; an all-pairs replay would need a
+    # 64 MB distance matrix and 16.8 M solver calls.
+    code, stdout, _ = run(capsys, "verify", "--r", "8", "--k", "4")
+    assert code == 0
+    assert "[PASS] solver vs BFS bounds: all 16777216 pairs (4140 orbits)\n" in stdout
+    assert "[PASS] value relabeling is an automorphism" in stdout

@@ -17,6 +17,7 @@ from dug import (
     solve,
     verify_path,
 )
+from dug.solver import _construct
 
 from conftest import move_adjacency, oracle_all_pairs
 
@@ -151,3 +152,34 @@ def test_solve_properties_random(pab):
     visited = path_states(path, p)
     assert visited[-1] == b
     assert all(s[0] in (a[0], b[0]) for s in visited)
+
+
+@st.composite
+def relabeled_pair(draw):
+    """Two states of one (r, k), either mode, and a permutation of 1..r fixing 0."""
+    r = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 6))
+    proper = draw(st.booleans())
+
+    def one_state():
+        entries = [draw(st.integers(1 if proper else 0, r))]
+        for _ in range(k - 1):
+            digit = draw(st.integers(0, r - 1))
+            entries.append(digit + (1 if digit >= entries[-1] else 0))
+        return tuple(entries)
+
+    sigma = [0, *draw(st.permutations(range(1, r + 1)))]
+    return one_state(), one_state(), sigma
+
+
+@given(relabeled_pair())
+def test_construct_commutes_with_relabeling(case):
+    a, b, sigma = case
+
+    def relabel(state):
+        return tuple(sigma[v] for v in state)
+
+    moved = tuple(
+        Adjust(sigma[m.value]) if isinstance(m, Adjust) else m for m in _construct(a, b)
+    )
+    assert _construct(relabel(a), relabel(b)) == moved

@@ -1,0 +1,236 @@
+"""The orbit-reduced verify suite against a replay of every ordered state pair."""
+
+from __future__ import annotations
+
+import math
+import re
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import dug.verification
+from dug import (
+    INVOLUTE,
+    Adjust,
+    ExplicitGraph,
+    HanoiParams,
+    MovePath,
+    best_uniformity,
+    build_explicit,
+    enumerate_states,
+    iter_distance_rows,
+    legal_moves,
+)
+from dug.hanoi import apply_move, state_matrix
+from dug.solver import _construct
+from dug.verification import (
+    CheckResult,
+    _pair_orbits,
+    _pairs_covered,
+    _relabelings_preserve_edges,
+    run_verify_suite,
+)
+
+PAIR_ROWS = (
+    "solver vs BFS bounds",
+    "disjoint-support exactness",
+    "uniformity eps <= k^2/r at d = 2^k - 1",
+)
+AUTOMORPHISM = "value relabeling is an automorphism"
+NAMES = (
+    "state counts",
+    "builder matches moves (proper)",
+    "builder matches moves (improper)",
+    "adjacency symmetry",
+    "improper graph r-regular",
+    "involution self-inverse",
+    AUTOMORPHISM,
+    *PAIR_ROWS,
+    "diameter",
+    "min-degree bound",
+    "neighborhood growth",
+    "critical-distance upper bound",
+    "truncation isomorphism",
+)
+
+
+def all_pairs_rows(r: int, k: int) -> list[CheckResult]:
+    """The three pair rows as the suite computed them before its orbit reduction.
+
+    One n x n distance matrix and n x n support masks; every ordered pair is
+    solved by the solver's construction (``solve`` minus re-validating the
+    enumerated states) and its path replayed move by move through a transition
+    table built from ``apply_move``, the replay ``path_states`` performs.
+    """
+    proper = HanoiParams(r, k, proper=True)
+    states = enumerate_states(proper)
+    g = build_explicit(proper)
+    n = g.n
+    target = 2**k - 1
+    dist = np.empty((n, n), dtype=np.int32)
+    for chunk, rows in iter_distance_rows(g):
+        dist[chunk] = rows
+    index = {s: i for i, s in enumerate(states)}
+    step = [[-1] * (r + 2) for _ in states]
+    for i, s in enumerate(states):
+        for move in legal_moves(s, proper):
+            step[i][r + 1 if move is INVOLUTE else move.value] = index[apply_move(s, move, proper)]
+
+    lengths = np.empty((n, n), dtype=np.int64)
+    replayed = True
+    try:
+        for i, a in enumerate(states):
+            for j, b in enumerate(states):
+                moves = _construct(a, b)
+                lengths[i, j] = len(moves)
+                v = i
+                for move in moves:
+                    v = step[v][r + 1 if move is INVOLUTE else move.value]
+                    if v < 0 or states[v][0] not in (a[0], b[0]):
+                        break
+                replayed = replayed and v == j
+    finally:
+        _construct.cache_clear()
+    ok = replayed and bool((lengths <= target).all() and (lengths >= dist).all())
+    rows = [CheckResult("solver vs BFS bounds", ok, f"all {n * n} pairs")]
+
+    masks = np.array([sum(1 << e for e in set(s)) for s in states], dtype=np.int64)
+    disjoint = (masks[:, None] & masks[None, :]) == 0
+    exact = bool((dist[disjoint] == target).all() and (lengths[disjoint] == target).all())
+    rows.append(CheckResult(
+        "disjoint-support exactness",
+        exact,
+        f"{int(disjoint.sum())} ordered pairs at distance {target}",
+    ))
+
+    rep = best_uniformity(g)
+    eps = Fraction(int(((n - 1) - (dist == target).sum(axis=1)).max()), n)
+    claim = Fraction(k * k, r)
+    detail = f"eps at d={target} is {eps} (claim {claim})"
+    if claim >= 1:
+        detail += "; claim vacuous"
+    detail += f"; best report d={rep.d} eps={rep.epsilon}"
+    rows.append(CheckResult("uniformity eps <= k^2/r at d = 2^k - 1", eps <= claim, detail))
+    return rows
+
+
+# Every (r, k) with r^k <= 625 but (2, 9): r = 2's relabeling group has order 2,
+# so the suite alone replays about n^2 / 2 = 131 072 paths of up to 511 moves
+# there (about 40 s on a 2-CPU x86_64 host).  r = 1 has one state for every k.
+DESK = [
+    (r, k)
+    for r in range(1, 26)
+    for k in range(1, 10)
+    if r**k <= 625 and (r, k) != (2, 9) and (r > 1 or k <= 3)
+]
+
+
+@pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
+def test_orbit_suite_matches_all_pairs_replay(r, k):
+    results = run_verify_suite(r, k)
+    assert all(c.ok for c in results), [c for c in results if not c.ok]
+    names = [c.name for c in results]
+    if r == 1:
+        assert AUTOMORPHISM not in names and "solver vs BFS bounds" in names
+        return
+    assert tuple(names) == NAMES
+    by_name = {c.name: c for c in results}
+    for want in all_pairs_rows(r, k):
+        got = by_name[want.name]
+        if want.name == "solver vs BFS bounds":
+            orbits = len(_pair_orbits(state_matrix(HanoiParams(r, k, proper=True)))[1])
+            want = CheckResult(want.name, want.ok, f"{want.detail} ({orbits} orbits)")
+        assert got == want
+
+
+def _canonical(a, b):
+    names = {0: 0}
+    return tuple(names.setdefault(v, len(names)) for v in a + b)
+
+
+@pytest.mark.parametrize("r,k", [(2, 1), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)])
+def test_pair_orbits_match_brute_force(r, k):
+    params = HanoiParams(r, k, proper=True)
+    states = enumerate_states(params)
+    sizes = Counter(_canonical(a, b) for a in states for b in states)
+    sources, pair_a, pair_b, distinct = _pair_orbits(state_matrix(params))
+    reps = [states[sources[i]] + states[j] for i, j in zip(pair_a, pair_b)]
+    assert reps == sorted(sizes) and len(set(reps)) == len(reps)
+    assert [sizes[rep] for rep in reps] == [math.perm(r, m) for m in distinct]
+    assert [len(set(rep) - {0}) for rep in reps] == list(distinct)
+    assert _pairs_covered(r, distinct) == len(states) ** 2
+    assert list(sources) == [i for i, s in enumerate(states) if _canonical(s, ()) == s]
+
+
+def test_broken_automorphism_is_caught():
+    params = HanoiParams(4, 2, proper=True)
+    g = build_explicit(params)
+    states = state_matrix(params)
+    assert _relabelings_preserve_edges(g, params, states)
+    edges = g.edge_array()
+    index = {tuple(s): i for i, s in enumerate(states.tolist())}
+    # Two new edges that (1 2) swaps but the 4-cycle moves elsewhere.
+    extra = [[index[(1, 3)], index[(4, 2)]], [index[(2, 3)], index[(4, 1)]]]
+    assert not any(v in g.neighbors_of(u) for u, v in extra)
+    added = ExplicitGraph.from_edges(g.n, np.vstack([edges, extra]))
+    assert not _relabelings_preserve_edges(added, params, states)
+    # One edge moved: (1 2) already sends it off the edge set.
+    u, v = edges[0]
+    w = next(x for x in range(g.n) if x not in (u, v) and x not in g.neighbors_of(u))
+    moved = ExplicitGraph.from_edges(g.n, np.vstack([[u, w], edges[1:]]))
+    assert not _relabelings_preserve_edges(moved, params, states)
+
+
+def test_broken_solver_fails_pair_rows(monkeypatch):
+    """A fault that commutes with relabeling is still seen through the representatives.
+
+    Disjoint-support paths gain two adjustments that cancel out (to a_1 and
+    back), which every relabeling carries along.  Faults that do not commute
+    with relabeling would only show on pairs the suite never replays; the
+    hypothesis test of ``_construct``'s equivariance in test_solver.py covers
+    those, not this suite.
+    """
+    real = dug.verification.solve
+
+    def lengthened(a, b, params):
+        path = real(a, b, params)
+        if set(a) & set(b):
+            return path
+        return MovePath(path.start, path.moves + (Adjust(a[0]), Adjust(b[-1])))
+
+    monkeypatch.setattr(dug.verification, "solve", lengthened)
+    for r, k in ((3, 2), (4, 3)):
+        rows = {c.name: c for c in run_verify_suite(r, k)}
+        assert not rows["solver vs BFS bounds"].ok
+        assert not rows["disjoint-support exactness"].ok
+        assert rows[AUTOMORPHISM].ok and rows["diameter"].ok
+
+
+def test_solver_row_needs_every_orbit(monkeypatch):
+    real = dug.verification._pair_orbits
+
+    def one_short(states):
+        sources, pair_a, pair_b, distinct = real(states)
+        return sources, pair_a[:-1], pair_b[:-1], distinct[:-1]
+
+    monkeypatch.setattr(dug.verification, "_pair_orbits", one_short)
+    solver = next(c for c in run_verify_suite(3, 2) if c.name == "solver vs BFS bounds")
+    assert not solver.ok
+    m = re.fullmatch(r"all 81 pairs \(13 orbits\); orbits cover (\d+) of 81 pairs", solver.detail)
+    assert m and int(m.group(1)) < 81
+
+
+def test_sampled_orbits():
+    rows = {c.name: c for c in run_verify_suite(4, 3, pair_limit=10)}
+    solver = rows["solver vs BFS bounds"]
+    assert solver.ok
+    m = re.fullmatch(r"sampled 10 of 187 orbit representatives, covering (\d+) of 4096 pairs",
+                     solver.detail)
+    assert m and 10 <= int(m.group(1)) < 4096
+    # The disjoint-support check keeps every orbit.
+    assert rows["disjoint-support exactness"].detail == "216 ordered pairs at distance 7"
+    full = {c.name: c for c in run_verify_suite(4, 3, pair_limit=187)}
+    assert full["solver vs BFS bounds"].detail == "all 4096 pairs (187 orbits)"
+

@@ -116,7 +116,8 @@ def best_uniformity(
     Candidate distances run from 1 to the largest finite distance seen;
     unreachable vertices count against every candidate.  Read from columns 1
     and up of :func:`~dug.graph.distance_histograms`, so an all-source call
-    shares its one sweep with the other analyses of the graph.  Restricting
+    shares its one sweep with the other analyses of the graph and expands its
+    per-class offcounts to every vertex through ``g.classes``.  Restricting
     ``sources`` turns the scan into a sampled estimate over those vertices
     (the connectivity flag stays exact: one BFS decides it for an undirected
     graph).
@@ -135,6 +136,8 @@ def best_uniformity(
     else:
         d = 1
         off = np.full(len(ids), n - 1)
+    if sources is None and g.classes is not None:
+        off = off[np.searchsorted(ids, g.classes)]
     return UniformityReport(
         n=n,
         d=d,

@@ -22,6 +22,7 @@ from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
     TooLarge,
+    _first_appearance,
     encode_states,
     state_matrix,
 )
@@ -60,9 +61,14 @@ class ExplicitGraph:
     sorted ascending); instances are safe to share across threads.  The
     all-source distance histograms are kept once computed (see
     :func:`distance_histograms`).
+
+    ``classes`` is None, or for each vertex the id of its class's
+    representative, where the vertices of one class provably have equal
+    distance histograms.  Only :func:`build_explicit` sets it, and equality
+    ignores it.
     """
 
-    __slots__ = ("n", "indptr", "indices", "labels", "_histograms")
+    __slots__ = ("n", "indptr", "indices", "labels", "classes", "_histograms")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  labels: tuple[str, ...] | None):
@@ -70,6 +76,7 @@ class ExplicitGraph:
         self.indptr = indptr
         self.indices = indices
         self.labels = labels
+        self.classes = None
         self._histograms = None
         indptr.setflags(write=False)
         indices.setflags(write=False)
@@ -156,6 +163,12 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     The cap bounds both the state count and the edge count.  Adjacency is
     computed arithmetically on lexicographic ranks (see hanoi.state_index);
     the test suite checks this against the move-level neighbors() definition.
+
+    Renaming the values 1..r (0 fixed) of proper states, or 0..r of all
+    states, is an automorphism of the graph (Hinz et al., *The Tower of Hanoi
+    -- Myths and Maths*, 2013).  So ``classes`` maps each state to the
+    canonical state of its orbit, the one naming its values in order of first
+    appearance, and the all-source analyses scan one source per orbit.
     """
     n = params.state_count()
     S = state_matrix(params, cap)
@@ -206,7 +219,11 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
         edge_arr = np.concatenate(parts)
 
     labels = tuple(",".join(map(str, row)) for row in S.tolist())
-    return ExplicitGraph.from_edges(n, edge_arr, labels)
+    g = ExplicitGraph.from_edges(n, edge_arr, labels)
+    canonical, _ = _first_appearance(S, 0 if params.proper else -1)
+    g.classes = encode_states(canonical, params)
+    g.classes.setflags(write=False)
+    return g
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
@@ -286,16 +303,21 @@ def distance_histograms(
 
     ``table`` is a read-only int32 array as wide as the largest finite distance
     seen plus one; unreachable vertices are in no column, and ``connected``
-    is False when any source misses a vertex.  With ``sources`` None every
-    vertex is a source and the result is kept on the graph, so later calls
-    (and every all-source analysis) reuse one sweep; a call naming sources
-    neither reads nor stores it.
+    is False when any source misses a vertex.  With ``sources`` None the table
+    covers every vertex with one row per class of ``g.classes`` (per vertex
+    when the graph has none), the ids are the class representatives, and the
+    result is kept on the graph, so later calls (and every all-source
+    analysis) reuse one sweep; a call naming sources neither reads nor
+    stores it.
     """
     if sources is None and g._histograms is not None:
         return g._histograms
+    scan = sources
+    if sources is None and g.classes is not None:
+        scan = np.unique(g.classes)
     # Row i's distance v lands in bin i * span + v + 1, so column 0 counts its -1s.
     ids, counts = [np.zeros(0, dtype=np.int64)], []
-    for chunk, rows in iter_distance_rows(g, sources=sources):
+    for chunk, rows in iter_distance_rows(g, sources=scan):
         span = int(rows.max()) + 2
         offsets = np.arange(len(rows), dtype=np.int32)[:, None] * span + 1
         binned = np.bincount((rows + offsets).ravel(), minlength=len(rows) * span)

@@ -293,6 +293,32 @@ def state_matrix(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     return out
 
 
+def _first_appearance(rows: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarray]:
+    """(relabeled, top): state rows with the values above ``used`` renamed in order of first appearance.
+
+    The values 0..used keep their names; the others become used + 1,
+    used + 2, ... in the order they first appear in the row.  A row is
+    canonical when it equals its relabeling.  With used = 0 the relabeling is
+    the canonical form of a proper state under the value relabelings that
+    fix 0; with used = -1, that of any state under every relabeling of
+    0..r; with used = w, that of a state following a canonical prefix that
+    names 1..w.  ``top`` is each relabeled row's largest value, at least
+    ``used``: for a proper row with used = 0, its count of distinct nonzero
+    values.
+    """
+    out = rows.copy()
+    top = np.full(len(rows), used, dtype=rows.dtype)
+    for j, col in enumerate(rows.T):
+        fresh = col > used
+        for i in range(j):
+            same = rows[:, i] == col
+            np.copyto(out[:, j], out[:, i], where=same)
+            fresh &= ~same
+        top += fresh
+        out[fresh, j] = top[fresh]
+    return out, top
+
+
 def encode_states(matrix: np.ndarray, params: HanoiParams) -> np.ndarray:
     """Vectorized :func:`state_index` over the rows of an (n, k) state matrix."""
     r = params.r

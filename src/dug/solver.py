@@ -50,7 +50,9 @@ def _alternating(first: int, second: int, length: int) -> State:
     return tuple(first if i % 2 == 0 else second for i in range(length))
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived caller of solve does not grow without limit;
+# an exhaustive verify at (4, 4) needs 3 998 entries.
+@lru_cache(maxsize=1 << 16)
 def _construct(a: State, b: State) -> tuple[Move, ...]:
     # Recursion from the 2^k - 1 upper-bound proof.  Moves carry no positions,
     # so a solution for the length-(k-1) tails replays verbatim on the full

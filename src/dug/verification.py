@@ -28,12 +28,19 @@ from .analyze import (
     check_neighborhood_growth,
     check_upper_bound,
 )
-from .graph import ExplicitGraph, build_explicit, diameter, iter_distance_rows
+from .graph import (
+    ExplicitGraph,
+    build_explicit,
+    diameter,
+    distance_histograms,
+    iter_distance_rows,
+)
 from .hanoi import (
     DEFAULT_STATE_CAP,
     INVOLUTE,
     HanoiParams,
     IllegalInvolute,
+    _first_appearance,
     apply_move,
     encode_states,
     enumerate_states,
@@ -52,22 +59,6 @@ class CheckResult:
     skipped: bool = False
 
 
-def _first_appearance(rows: np.ndarray, used) -> tuple[np.ndarray, np.ndarray]:
-    """(canonical, distinct) of state rows that follow a prefix using the values 1..used.
-
-    A row is canonical when every entry is at most one more than the largest
-    value before it: its new nonzero values appear in the order used + 1,
-    used + 2, ...  A canonical row's maximum is then the number of distinct
-    nonzero values in the prefix and the row together.
-    """
-    top = np.full(len(rows), used, dtype=rows.dtype)
-    canonical = np.ones(len(rows), dtype=bool)
-    for col in rows.T:
-        canonical &= col <= top + 1
-        np.maximum(top, col, out=top)
-    return canonical, top
-
-
 def _pair_orbits(states: np.ndarray):
     """One ordered pair per orbit of the value relabelings that fix 0.
 
@@ -78,12 +69,12 @@ def _pair_orbits(states: np.ndarray):
     number m of distinct nonzero values in a + b; the orbit holds perm(r, m)
     pairs.
     """
-    canonical, used = _first_appearance(states, 0)
-    sources = np.flatnonzero(canonical)
+    relabeled, used = _first_appearance(states, 0)
+    sources = np.flatnonzero((relabeled == states).all(axis=1))
     pair_a, pair_b, distinct = [], [], []
     for w in np.unique(used[sources]):
-        ok, m = _first_appearance(states, w)
-        b = np.flatnonzero(ok)
+        relabeled, m = _first_appearance(states, w)
+        b = np.flatnonzero((relabeled == states).all(axis=1))
         a = np.flatnonzero(used[sources] == w)
         pair_a.append(np.repeat(a, b.size))
         pair_b.append(np.tile(b, a.size))
@@ -231,12 +222,10 @@ def run_verify_suite(
         # Distances from the state-orbit representatives, gathered per pair
         # representative; the rows themselves are dropped chunk by chunk.
         pair_dist = np.empty(pair_a.size, dtype=np.int32)
-        misses = []
         lo = 0
         for chunk, rows in iter_distance_rows(gp, sources):
             s, e = np.searchsorted(pair_a, [lo, lo + chunk.size])
             pair_dist[s:e] = rows[pair_a[s:e] - lo, pair_b[s:e]]
-            misses.append((n - 1) - (rows == target).sum(axis=1))
             lo += chunk.size
         first = sources[pair_a]
 
@@ -288,10 +277,12 @@ def run_verify_suite(
 
         # Uniformity claim of the construction: at critical distance 2^k - 1
         # the achieved epsilon is at most k^2/r (vacuous when k^2/r >= 1).
-        # A relabeling is an automorphism, so every vertex's row is a
-        # permutation of its representative's and has the same count.
+        # The kept table has one row per state orbit, from the same canonical
+        # states; a target beyond the diameter leaves every vertex n - 1 off.
         report = best_uniformity(gp)
-        eps_at_target = Fraction(int(np.concatenate(misses).max()), n)
+        _, table, _ = distance_histograms(gp)
+        fewest = int(table[:, target].min()) if target < table.shape[1] else 0
+        eps_at_target = Fraction((n - 1) - fewest, n)
         claim = Fraction(k * k, r)
         ok = eps_at_target <= claim
         detail = f"eps at d={target} is {eps_at_target} (claim {claim})"

@@ -182,17 +182,8 @@ def test_criterion_7_planner_round_trip():
                 built[key] = build_explicit(plan.params())
             g = built[key]
             assert g.n == n
-            if n <= 4096:
-                rep = best_uniformity(g)
-            else:
-                # sampled analysis: >= 64 sources for epsilon, 8 full BFS for d
-                src64 = [int(x) for x in np.unique(
-                    np.linspace(0, n - 1, 64).round().astype(np.int64))]
-                rep = best_uniformity(g, sources=src64)
-                src8 = [int(x) for x in np.unique(
-                    np.linspace(0, n - 1, 8).round().astype(np.int64))]
-                rep8 = best_uniformity(g, sources=src8)
-                assert rep8.d == plan.predicted_d
+            # exact at every n: one source per value-relabeling orbit
+            rep = best_uniformity(g)
             assert rep.d == plan.predicted_d, (m, eps, rep.d)
             assert rep.epsilon <= eps, (m, eps, rep.epsilon)
     elapsed = time.perf_counter() - t0

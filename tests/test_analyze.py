@@ -283,20 +283,76 @@ class TestOneSweep:
         assert is_distance_uniform(g, rep.epsilon, rep.d)
         assert all(row.ok for row in check_neighborhood_growth(g, rep))
         assert diameter(g) == (7, True)
-        assert sum(scanned) == g.n
+        # one row per value-relabeling orbit: 5 of the 125 states
+        orbits = np.unique(g.classes).size
+        assert orbits == 5
+        assert sum(scanned) == orbits
         twin = build_explicit(HanoiParams(5, 3, proper=True))
         assert twin == g
         assert diameter(twin) == (7, True)
-        assert sum(scanned) == 2 * g.n
+        assert sum(scanned) == 2 * orbits
 
     def test_sampled_call_neither_reads_nor_fills(self, scanned):
         g = build_explicit(HanoiParams(5, 3, proper=True))
         best_uniformity(g, sources=[0, 7, 21])
         assert sum(scanned) == 3
         best_uniformity(g)
-        assert sum(scanned) == 3 + g.n
+        assert sum(scanned) == 3 + 5
         best_uniformity(g, sources=[0, 7, 21])
-        assert sum(scanned) == 6 + g.n
+        assert sum(scanned) == 6 + 5
+
+
+# Every Hanoi graph with at most 2 500 states and k <= 9, but the complete
+# graphs of k = 1 with r > 50.  k <= 9 leaves out only r = 1 (one or two
+# states) and (2, 10) and (2, 11), whose 1 023- and 2 047-level sweeps would
+# add about 11 s on a 2-CPU host.
+CLASS_CASES = [
+    HanoiParams(r, k, proper)
+    for proper in (True, False)
+    for k in range(1, 10)
+    for r in range(1, 51)
+    if HanoiParams(r, k, proper).state_count() <= 2500
+]
+
+
+def _canonical(state, proper):
+    """state with its values renamed in order of first appearance, 0 kept when proper."""
+    names = {0: 0} if proper else {}
+    return tuple(names.setdefault(x, len(names)) for x in state)
+
+
+def test_class_tables_match_full_scan():
+    """Orbit-keyed analyses of every build_explicit graph equal the per-vertex scan's."""
+    rng = np.random.default_rng(7)
+    for params in CLASS_CASES:
+        g = build_explicit(params)
+        full = ExplicitGraph.from_edges(g.n, g.edge_array(), g.labels)
+        assert full.classes is None
+        states = [tuple(map(int, lab.split(","))) for lab in g.labels]
+        index = {s: v for v, s in enumerate(states)}
+        assert g.classes.tolist() == [index[_canonical(s, params.proper)] for s in states]
+        diam = diameter(g)
+        assert diam == diameter(full), params
+        radii = range(-1, diam[0] + 2)
+        assert min_ball_sizes(g, radii) == min_ball_sizes(full, radii), params
+        if g.n >= 2:
+            rep = best_uniformity(g)
+            assert rep == best_uniformity(full), params
+            for d in {1, rep.d - 1, rep.d, rep.d + 1, diam[0], diam[0] + 1} - {0}:
+                for eps in (rep.epsilon, rep.epsilon - Fraction(1, g.n)):
+                    if eps >= 0:
+                        assert is_distance_uniform(g, eps, d) == is_distance_uniform(full, eps, d)
+        # two members each of up to 32 classes against the oracle
+        ids, table, _ = dug.graph.distance_histograms(g)
+        order = np.argsort(g.classes, kind="stable")
+        members = np.split(order, np.flatnonzero(np.diff(g.classes[order])) + 1)
+        picked = rng.choice(len(ids), size=min(32, len(ids)), replace=False)
+        for c in picked:
+            row, group = table[c], members[c]
+            for v in rng.choice(group, size=min(2, group.size), replace=False):
+                dist = bfs_distances(g, int(v))
+                assert np.bincount(dist[dist >= 0], minlength=table.shape[1]).tolist() == \
+                    row.tolist(), (params, int(v))
 
 
 class TestUpperBound:

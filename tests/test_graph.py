@@ -22,6 +22,7 @@ from dug import (
     distance_histograms,
     enumerate_states,
     iter_distance_rows,
+    iterate_truncation,
     load_edge_list,
     save_edge_list,
     state_index,
@@ -161,6 +162,20 @@ class TestBuildExplicit:
         with pytest.raises(TooLarge):
             build_explicit(HanoiParams(4, 2), cap=10)
 
+    def test_only_built_graphs_carry_a_class_index(self, tmp_path):
+        g = build_explicit(HanoiParams(4, 3, proper=True))
+        # the canonical states 1,0,1 1,0,2 1,2,0 1,2,1 1,2,3 are vertices 0, 1, 4, 5, 6
+        assert np.unique(g.classes).tolist() == [0, 1, 4, 5, 6]
+        assert not g.classes.flags.writeable
+        f = tmp_path / "g.dug"
+        save_edge_list(g, f)
+        loaded = load_edge_list(f)
+        assert loaded == g and g == loaded and loaded.classes is None
+        assert ExplicitGraph.from_edges(g.n, g.edge_array(), g.labels).classes is None
+        # copy counts differ between vertices: relabeling is no automorphism of a blow-up
+        assert blow_up(g, g.n + 1).classes is None
+        assert iterate_truncation(4, 3).graph.classes is None
+
 
 class TestBFS:
     def test_complete(self):
@@ -204,10 +219,12 @@ class TestDistanceRows:
             assert np.array_equal(got, want)
             ids, table, connected = distance_histograms(g)
             width = int(want.max()) + 1
-            assert ids.tolist() == list(range(g.n))
+            # one row per class of a Hanoi graph, one per vertex otherwise
+            classes = np.arange(g.n) if g.classes is None else g.classes
+            assert ids.tolist() == np.unique(classes).tolist()
             assert table.dtype == np.int32
-            assert table.tolist() == [np.bincount(row[row >= 0], minlength=width).tolist()
-                                      for row in want]
+            assert table[np.searchsorted(ids, classes)].tolist() == [
+                np.bincount(row[row >= 0], minlength=width).tolist() for row in want]
             assert connected == bool((want >= 0).all())
             assert diameter(g) == (width - 1, connected)
 

@@ -183,3 +183,18 @@ def test_construct_commutes_with_relabeling(case):
         Adjust(sigma[m.value]) if isinstance(m, Adjust) else m for m in _construct(a, b)
     )
     assert _construct(relabel(a), relabel(b)) == moved
+
+
+def test_construct_cache_is_bounded():
+    limit = _construct.cache_info().maxsize
+    # an exhaustive verify at (4, 4) needs 3 998 entries
+    assert limit is not None and limit >= 3998
+    _construct.cache_clear()
+    try:
+        for x in range(1, 300):
+            for y in range(300):
+                if y != x:
+                    _construct((1, 0), (x, y))
+        assert _construct.cache_info().currsize == limit
+    finally:
+        _construct.cache_clear()

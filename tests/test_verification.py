@@ -234,3 +234,19 @@ def test_sampled_orbits():
     full = {c.name: c for c in run_verify_suite(4, 3, pair_limit=187)}
     assert full["solver vs BFS bounds"].detail == "all 4096 pairs (187 orbits)"
 
+
+
+def test_short_diameter_fails_the_uniformity_row(monkeypatch):
+    """A proper graph whose distances stop short of 2^k - 1 gives a FAIL row, not an error."""
+    real = dug.verification.build_explicit
+
+    def complete(params, cap):
+        g = real(params, cap)
+        iu, iv = np.triu_indices(g.n, k=1)
+        return ExplicitGraph.from_edges(g.n, np.column_stack([iu, iv]), g.labels)
+
+    monkeypatch.setattr(dug.verification, "build_explicit", complete)
+    rows = {c.name: c for c in run_verify_suite(5, 2)}
+    uniformity = rows["uniformity eps <= k^2/r at d = 2^k - 1"]
+    assert not uniformity.ok
+    assert uniformity.detail.startswith("eps at d=3 is 24/25 (claim 4/5)")

@@ -22,6 +22,14 @@ from .truncation import iterate_truncation
 from .verification import run_verify_suite
 
 
+def fraction(text: str) -> Fraction:
+    """argparse type for an exact rational such as 1/16; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dug",
@@ -40,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="distance-uniformity analysis of an edge-list graph")
     a.add_argument("--in", dest="infile", required=True, help="input edge-list path")
-    a.add_argument("--epsilon", type=Fraction, help="with --d: test this exact epsilon")
+    a.add_argument("--epsilon", type=fraction, help="with --d: test this exact epsilon")
     a.add_argument("--d", type=int, help="with --epsilon: test this critical distance")
     a.add_argument("--sources", type=int, help="sample this many evenly spaced source vertices")
     a.add_argument("--json", action="store_true")
@@ -55,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="choose (r, k) and blow-up counts for a target (n, epsilon)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--epsilon", type=Fraction, required=True, help="exact rational, e.g. 1/16")
+    p.add_argument("--epsilon", type=fraction, required=True, help="exact rational, e.g. 1/16")
     p.add_argument("--json", action="store_true")
 
     t = sub.add_parser("truncate", help="iterated corner truncation of K_{r+1}")
@@ -83,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sample_sources(n: int, count: int | None):
+    if count is not None and count < 1:
+        raise ValueError(f"source sample must be at least 1, got {count}")
     if count is None or count >= n:
         return None
     return [int(x) for x in np.unique(np.linspace(0, n - 1, count).round().astype(np.int64))]

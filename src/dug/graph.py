@@ -49,8 +49,8 @@ class InconsistentHeader(ValueError):
     """Edge-list body does not match the counts declared in the header."""
 
 
-# Edges turned into Python objects at a time by edges() and save_edge_list:
-# bounds the memory they hold.
+# Edges turned into Python objects at a time by edges(), and into one byte
+# table at a time by save_edge_list: bounds the memory they hold.
 _EDGE_CHUNK = 1 << 16
 
 
@@ -111,6 +111,8 @@ class ExplicitGraph:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
                 raise ValueError("labels are not unique")
+            # A file cannot tell no labels from labels of no vertices.
+            labels = labels or None
         return cls(n, indptr, indices, labels)
 
     @property
@@ -348,9 +350,14 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     """Replace vertex v by an independent set of copies, joined exactly when originals were.
 
     The first n_target mod n vertices get the ceiling copy count, the rest the
-    floor.  Labels (when present) gain a ':<copy>' suffix.  Raises
+    floor.  Labels (when present) gain a ':<copy>' suffix; they stay unique
+    because the text after the last ':' is the copy number.  Raises
     :class:`TooLarge`, before building anything, when the result would have
     more than DEFAULT_STATE_CAP vertices or edges.
+
+    The CSR is built directly, with no edge list to sort: every copy of v has
+    the same row, the copy ranges of v's neighbours in order, which is sorted
+    and free of duplicates because g is simple.
     """
     if g.n == 0:
         raise ValueError("cannot blow up a graph with no vertices")
@@ -368,21 +375,24 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     counts[:rem] += 1
     offsets = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # Edge (u, v) becomes c_u * c_v edges; its w-th is (off_u + w // c_v, off_v + w % c_v).
-    u, v = g.edge_array().T
-    copies = counts[u] * counts[v]
-    w = np.arange(copies.sum()) - np.repeat(np.cumsum(copies) - copies, copies)
-    c_v = np.repeat(counts[v], copies)
-    edges = np.column_stack([
-        np.repeat(offsets[u], copies) + w // c_v,
-        np.repeat(offsets[v], copies) + w % c_v,
-    ])
+    # The row of v's copies: adjacency entry (v, w) becomes offsets[w]..offsets[w + 1].
+    spans = counts[g.indices]
+    starts = np.zeros(spans.size + 1, dtype=np.int64)
+    np.cumsum(spans, out=starts[1:])
+    rows = (np.repeat(offsets[g.indices] - starts[:-1], spans)
+            + np.arange(starts[-1])).astype(np.int32)
+    row_ptr = starts[g.indptr]
+    # Each output vertex reads its base vertex's row.
+    lengths = np.repeat(np.diff(row_ptr), counts)
+    indptr = np.zeros(n_target + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    shift = np.repeat(row_ptr[:-1], counts) - indptr[:-1]
+    indices = rows[np.repeat(shift, lengths) + np.arange(indptr[-1])]
     labels = None
     if g.labels is not None:
-        labels = tuple(
-            f"{g.labels[v]}:{i}" for v in range(g.n) for i in range(counts[v])
-        )
-    return ExplicitGraph.from_edges(n_target, edges, labels)
+        labels = tuple(f"{lab}:{i}" for lab, c in zip(g.labels, counts.tolist())
+                       for i in range(c))
+    return ExplicitGraph(n_target, indptr, indices, labels)
 
 
 def save_edge_list(g: ExplicitGraph, path) -> None:
@@ -390,20 +400,45 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
 
     Raises ValueError, before the file is opened, for a label that would not
     load back unchanged: one that is not a str, an empty one, one holding a
-    line break, or one with leading or trailing whitespace.
+    line break, or one with leading or trailing whitespace.  Edge lines are
+    formatted in bulk by :func:`_edge_lines`, byte for byte as '%d' would.
     """
     for v, lab in enumerate(g.labels or ()):
         if (not isinstance(lab, str) or not lab or lab != lab.strip()
                 or "\n" in lab or "\r" in lab):
             raise ValueError(f"label {lab!r} of vertex {v} would not load back unchanged")
     edges = g.edge_array()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dug 1 {g.n} {g.m}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"dug 1 {g.n} {g.m}\n".encode())
         if g.labels is not None:
-            fh.writelines(f"l {v} {lab}\n" for v, lab in enumerate(g.labels))
+            fh.writelines(f"l {v} {lab}\n".encode() for v, lab in enumerate(g.labels))
+        width = len(str(g.n - 1))
         for lo in range(0, len(edges), _EDGE_CHUNK):
-            chunk = edges[lo:lo + _EDGE_CHUNK]
-            fh.write("e %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(_edge_lines(edges[lo:lo + _EDGE_CHUNK], width))
+
+
+def _edge_lines(edges: np.ndarray, width: int) -> bytes:
+    """The lines 'e <u> <v>\\n' of an (m, 2) array of ids below 10**width.
+
+    Each line is first a row of a fixed-width uint8 table: 'e', a space, u
+    right-aligned in width cells, a space, v likewise and '\\n'.  Leading-zero
+    cells hold NUL, which is then dropped.  Digits come from x // 10 and
+    x - 10 * (x // 10), which numpy does faster than np.divmod.
+    """
+    lines = np.zeros((len(edges), 2 * width + 4), dtype=np.uint8)
+    lines[:, 0] = ord("e")
+    lines[:, 1] = lines[:, width + 2] = ord(" ")
+    lines[:, -1] = ord("\n")
+    x = edges.astype(np.int32)
+    for col in range(width - 1, -1, -1):
+        q = x // 10
+        digit = (x - 10 * q + ord("0")).astype(np.uint8)
+        if col < width - 1:
+            digit *= x > 0
+        lines[:, 2 + col] = digit[:, 0]
+        lines[:, width + 3 + col] = digit[:, 1]
+        x = q
+    return lines.tobytes().replace(b"\0", b"")
 
 
 def load_edge_list(path) -> ExplicitGraph:

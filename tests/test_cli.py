@@ -72,6 +72,28 @@ def test_analyze_sampled_sources(tmp_path, capsys):
     assert len(payload["sources"]) == 8
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_analyze_refuses_empty_source_sample(tmp_path, capsys, count):
+    out = str(tmp_path / "g.dug")
+    run(capsys, "generate", "--r", "3", "--k", "2", "--out", out)
+    code, stdout, stderr = run(capsys, "analyze", "--in", out, "--sources", count)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: source sample must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "g.el", "--epsilon", "1/0", "--d", "2"],
+    ["plan", "--n", "100", "--epsilon", "1/0"],
+], ids=["analyze", "plan"])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    # argparse's usage, then one error line, as for any other malformed value.
+    assert stderr.startswith(f"usage: dug {argv[0]} ")
+    errors = [line for line in stderr.splitlines() if "error" in line]
+    assert errors == [f"dug {argv[0]}: error: argument --epsilon: zero denominator in '1/0'"]
+
+
 def test_solve_disjoint_pair(capsys):
     code, stdout, _ = run(
         capsys, "solve", "--r", "5", "--k", "4",

@@ -343,9 +343,10 @@ class TestEdgeListIO:
         [
             build_explicit(HanoiParams(4, 2, proper=True)),
             complete_graph(400),  # 79 800 edges: more than one write chunk
+            path_graph(70_000),  # two write chunks, ids of one to five digits
             ExplicitGraph.from_edges(5, []),
         ],
-        ids=["labeled", "unlabeled", "edgeless"],
+        ids=["labeled", "unlabeled", "widths", "edgeless"],
     )
     def test_save_matches_reference_writer(self, tmp_path, g):
         f = tmp_path / "g.dug"
@@ -354,6 +355,22 @@ class TestEdgeListIO:
         assert data == reference_text(g).encode()
         bulk = _canonical_edges(edge_block(data))
         assert bulk is None if g.m == 0 else np.array_equal(bulk, g.edge_array())
+        assert load_edge_list(f) == g
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 3])
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 100, 101, 1000, 1001])
+    def test_save_at_digit_width_boundaries(self, tmp_path, n, labeled, chunk):
+        # Every end has its own digit count; 0 and n - 1 are always among them.
+        ends = sorted({0, 1, 9, 10, 99, 100, 999, 1000, n - 1} & set(range(n)))
+        edges = np.array([(u, v) for u in ends for v in ends if u < v]).reshape(-1, 2)
+        labels = [f"v{v}" for v in range(n)] if labeled else None
+        g = ExplicitGraph.from_edges(n, edges, labels)
+        f = tmp_path / "g.dug"
+        with mock.patch("dug.graph._EDGE_CHUNK", chunk):
+            save_edge_list(g, f)
+        assert f.read_bytes() == reference_text(g).encode()
+        assert load_edge_list(f) == g
 
     @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", " a", "a ", 7])
     def test_save_refuses_label_that_would_not_load_back(self, tmp_path, bad):
@@ -596,6 +613,28 @@ class TestBlowUp:
         with mock.patch("dug.graph.DEFAULT_STATE_CAP", max(n_target, want.m) - 1):
             with pytest.raises(TooLarge):
                 blow_up(g, n_target)
+
+    @given(small_graphs(max_n=7), st.integers(1, 4), st.integers(0, 6))
+    @example(ExplicitGraph.from_edges(4, [(1, 2)]), 1, 0)  # isolated vertices, n_target = n
+    @example(ExplicitGraph.from_edges(3, [(0, 2)], labels=["a", "b", "c"]), 3, 0)  # rem = 0
+    @example(ExplicitGraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "b", "c"]), 2, 2)
+    def test_csr_equals_the_sorted_edge_build(self, g, q, extra):
+        if g.n == 0:
+            return
+        b = blow_up(g, q * g.n + extra % g.n)
+        # from_edges sorts, symmetrises and rejects duplicates: equality shows
+        # the direct rows are sorted, symmetric and duplicate-free.
+        assert b == ExplicitGraph.from_edges(b.n, b.edge_array(), b.labels)
+        assert b.indptr.dtype == np.int64 and b.indices.dtype == np.int32
+        assert not (b.indptr.flags.writeable or b.indices.flags.writeable)
+
+    def test_colon_labels_stay_unique_and_round_trip(self, tmp_path):
+        g = ExplicitGraph.from_edges(3, [(0, 1), (1, 2)], labels=["x", "x:0", "x:1"])
+        b = blow_up(g, 7)
+        assert b.labels == ("x:0", "x:1", "x:2", "x:0:0", "x:0:1", "x:1:0", "x:1:1")
+        f = tmp_path / "b.dug"
+        save_edge_list(b, f)
+        assert load_edge_list(f) == b
 
     def test_same_vertex_copies_at_distance_two(self):
         b = blow_up(complete_graph(3), 6)

@@ -49,9 +49,12 @@ class InconsistentHeader(ValueError):
     """Edge-list body does not match the counts declared in the header."""
 
 
-# Edges turned into Python objects at a time by edges(), and into one byte
-# table at a time by save_edge_list: bounds the memory they hold.
+# Adjacency entries per block of ExplicitGraph._edge_blocks, the one edge
+# enumeration: edges() turns a block into Python objects at a time and
+# save_edge_list into one byte table, so the memory they hold is bounded.
 _EDGE_CHUNK = 1 << 16
+# Bytes of whole lines the bulk edge reader checks and decodes at a time.
+_READ_CHUNK = 1 << 18
 
 
 class ExplicitGraph:
@@ -83,28 +86,13 @@ class ExplicitGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "ExplicitGraph":
-        """Build and validate a graph from an iterable (or array) of (u, v) pairs."""
+        """Build and validate a graph from an iterable (or array) of (u, v) pairs.
+
+        An integer array is read as it is, with no widening copy; the only
+        full-size temporary is one int64 key per adjacency entry.
+        """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise BadVertex(f"edge endpoint outside 0..{n - 1}")
-        u, v = arr.T
-        if (u == v).any():
-            raise ValueError("self-loop in edge list")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        # One sort of row * n + col orders the CSR entries and puts a duplicate
-        # edge next to its twin.
-        key = np.concatenate([lo * n + hi, hi * n + lo])
-        key.sort()
-        if (key[1:] == key[:-1]).any():
-            raise ValueError("duplicate edge in edge list")
-        indices = (key % n).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -113,6 +101,39 @@ class ExplicitGraph:
                 raise ValueError("labels are not unique")
             # A file cannot tell no labels from labels of no vertices.
             labels = labels or None
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arr = np.asarray(edges)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(np.int64)
+        arr = arr.reshape(-1, 2)
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
+            raise BadVertex(f"edge endpoint outside 0..{n - 1}")
+        u, v = arr.T
+        if (u == v).any():
+            raise ValueError("self-loop in edge list")
+        # One sort of row * n + col orders the CSR entries and puts a duplicate
+        # edge next to its twin.  Both keys are formed in place from lo and hi:
+        # lo * (n + 1) + (hi - lo) is lo * n + hi, and adding (hi - lo) * (n - 1)
+        # to that gives hi * n + lo.
+        m = len(arr)
+        key = np.empty(2 * m, dtype=np.int64)
+        lo, hi = key[:m], key[m:]
+        np.minimum(u, v, out=lo)
+        np.maximum(u, v, out=hi)
+        hi -= lo
+        lo *= n + 1
+        lo += hi
+        hi *= n - 1
+        hi += lo
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("duplicate edge in edge list")
+        # Row w's entries are the keys in [w * n, (w + 1) * n).
+        indptr = np.arange(n + 1, dtype=np.int64)
+        indptr *= n
+        indptr = np.searchsorted(key, indptr)
+        indices = np.remainder(key, n, out=key).astype(np.int32)
         return cls(n, indptr, indices, labels)
 
     @property
@@ -125,17 +146,31 @@ class ExplicitGraph:
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    def _edge_blocks(self) -> Iterator[np.ndarray]:
+        """The edges as (u, v) with u < v, in sorted order, in (k, 2) int64 blocks.
+
+        A block holds the edges of a run of rows with at most _EDGE_CHUNK
+        adjacency entries and at most _EDGE_CHUNK rows, or of one longer row.
+        """
+        indptr, indices = self.indptr, self.indices
+        lo = 0
+        while lo < self.n:
+            hi = int(np.searchsorted(indptr, indptr[lo] + _EDGE_CHUNK, side="right")) - 1
+            hi = min(max(hi, lo + 1), lo + _EDGE_CHUNK)
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1]))
+            cols = indices[indptr[lo]:indptr[hi]]
+            upper = cols > rows
+            yield np.column_stack([rows[upper], cols[upper].astype(np.int64)])
+            lo = hi
+
     def edge_array(self) -> np.ndarray:
         """(m, 2) int64 array of the edges as (u, v) with u < v, in sorted order."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        upper = self.indices > rows
-        return np.column_stack([rows[upper], self.indices[upper].astype(np.int64)])
+        return np.concatenate([np.zeros((0, 2), dtype=np.int64), *self._edge_blocks()])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        arr = self.edge_array()
-        for lo in range(0, len(arr), _EDGE_CHUNK):
-            yield from zip(*arr[lo:lo + _EDGE_CHUNK].T.tolist())
+        for block in self._edge_blocks():
+            yield from zip(*block.T.tolist())
 
     def label_index(self) -> dict[str, int]:
         if self.labels is None:
@@ -401,20 +436,20 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
     Raises ValueError, before the file is opened, for a label that would not
     load back unchanged: one that is not a str, an empty one, one holding a
     line break, or one with leading or trailing whitespace.  Edge lines are
-    formatted in bulk by :func:`_edge_lines`, byte for byte as '%d' would.
+    formatted in bulk by :func:`_edge_lines`, byte for byte as '%d' would,
+    one block of rows at a time.
     """
     for v, lab in enumerate(g.labels or ()):
         if (not isinstance(lab, str) or not lab or lab != lab.strip()
                 or "\n" in lab or "\r" in lab):
             raise ValueError(f"label {lab!r} of vertex {v} would not load back unchanged")
-    edges = g.edge_array()
     with open(path, "wb") as fh:
         fh.write(f"dug 1 {g.n} {g.m}\n".encode())
         if g.labels is not None:
             fh.writelines(f"l {v} {lab}\n".encode() for v, lab in enumerate(g.labels))
         width = len(str(g.n - 1))
-        for lo in range(0, len(edges), _EDGE_CHUNK):
-            fh.write(_edge_lines(edges[lo:lo + _EDGE_CHUNK], width))
+        for block in g._edge_blocks():
+            fh.write(_edge_lines(block, width))
 
 
 def _edge_lines(edges: np.ndarray, width: int) -> bytes:
@@ -449,58 +484,104 @@ def load_edge_list(path) -> ExplicitGraph:
     :class:`InconsistentHeader` when the body disagrees with the header.
 
     The run of canonical lines 'e <u> <v>\\n' that ends a file, from its first
-    line that begins 'e ', is read in bulk; the lines before it go through the
-    line parser.  When that run holds any other line, or the file has any
-    fault, the whole file is parsed line by line, so errors and their line
-    numbers come from one parser.
+    line that begins 'e ', is read in bulk (see :func:`_canonical_edges`); the
+    lines before it go through the line parser.  When that run holds any other
+    line, or the file has any fault, the whole file is parsed line by line, so
+    errors and their line numbers come from one parser.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     split = data.find(b"\ne ") + 1
-    tail = _canonical_edges(data[split:]) if split else None
+    tail = _canonical_edges(data, split)
     if tail is not None:
+        head = data[:split]
+        del data  # before the CSR is built; a fault means reading the file again
         try:
-            with io.TextIOWrapper(io.BytesIO(data[:split]), encoding="utf-8") as head:
-                return _parse_lines(head, tail)
+            with io.TextIOWrapper(io.BytesIO(head), encoding="utf-8") as lines:
+                return _parse_lines(lines, tail)
         except ValueError:  # the whole-file parse below reports it, with its line
             pass
+        with open(path, "rb") as fh:
+            data = fh.read()
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         return _parse_lines(fh)
 
 
-# Longest vertex id the bulk reader takes: every 18-digit decimal fits in int64.
-_MAX_DIGITS = 18
-_EDGE_SEPARATORS = bytes.maketrans(b"e\n", b"  ")
+# Longest vertex id the bulk reader decodes: one 8-byte word.  Ids up to
+# the 2^26 cap have at most 8 digits; a longer token sends the file to the
+# line parser.
+_MAX_DIGITS = 8
+_ZERO_CHARS = np.uint64(0x3030303030303030)
+# _KEEP[j] keeps the top j + 1 bytes of a word: the digits of a (j + 1)-digit
+# token whose load ends at its last digit.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (7 - j)) for j in range(8)], dtype=np.uint64)
 
 
-def _canonical_edges(block: bytes) -> np.ndarray | None:
-    """(m, 2) endpoints of the lines 'e <u> <v>' making up block, or None if any line differs.
+def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
+    """(m, 2) int32 endpoints of the lines 'e <u> <v>' from data[start:] on, or None if any differs.
 
-    Each line must be 'e', a space, a run of at most _MAX_DIGITS ASCII digits,
-    a space, another such run and '\\n', with u < v.  Once every line has its
-    'e' first and two single spaces around two non-empty runs, the remaining
-    bytes must all be digits.
+    Each line must be 'e', a space, a run of 1 to _MAX_DIGITS ASCII digits, a
+    space, another such run and '\\n', with u < v.  The lines are checked and
+    decoded in chunks of about _READ_CHUNK bytes of whole lines, so the
+    temporaries stay that small whatever the file's size.  In a chunk, the
+    bytes <= 32 must be space, space, '\\n' on each line, each line's first
+    space must be its second byte and follow an 'e', and every other byte
+    must be a digit.
+
+    A token is decoded with the SWAR digit trick (Langdale & Lemire, *Parsing
+    gigabytes of JSON per second*, VLDB J. 2019): one little-endian 8-byte
+    load that ends at its last digit, XOR '0' from every byte, the bytes
+    before the token masked off, then three multiply-shift-mask steps that
+    join digits pairwise into 2-, 4- and 8-digit values.  A block that starts
+    in the first 8 bytes of data leaves no room for a header, so the line
+    parser takes it.
     """
-    if not block.endswith(b"\n"):
+    if start < 8 or not data.endswith(b"\n"):
         return None
-    chars = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(chars == ord("\n"))
-    m = ends.size
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    spaces = np.flatnonzero(chars == ord(" "))
-    if spaces.size != 2 * m:
-        return None
-    mid = spaces[1::2]
-    if not ((chars[starts] == ord("e")).all() and np.array_equal(spaces[0::2], starts + 1)
-            and (mid >= starts + 3).all() and (mid <= ends - 2).all()
-            and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * m):
-        return None
-    if max((mid - starts).max() - 2, (ends - mid).max() - 1) > _MAX_DIGITS:
-        return None
-    # With 'e' and '\n' turned into spaces, only the 2m numbers are left.
-    edges = np.fromstring(block.translate(_EDGE_SEPARATORS), dtype=np.int64, sep=" ").reshape(m, 2)
-    return edges if (edges[:, 0] < edges[:, 1]).all() else None
+    edges = np.empty((data.count(b"\n", start), 2), dtype=np.int32)
+    # words[i] is the little-endian uint64 of data[i:i + 8].
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    row = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _READ_CHUNK - 1) + 1 or len(data)
+        chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        seps = np.flatnonzero(chars <= 32)
+        k = seps.size // 3
+        if seps.size != 3 * k:
+            return None
+        # gap[i, j] is the number of bytes between separator j of line i and
+        # the next separator, less 1: a token's digit count less 1 and, after
+        # a newline, 0 when only the next line's 'e' comes before its space.
+        # The chunk's last newline gets 0; the next chunk checks its own start.
+        gap = np.zeros(3 * k, dtype=np.int64)
+        np.subtract(seps[1:], seps[:-1], out=gap[:-1])
+        gap[:-1] -= 2
+        seps = seps.reshape(k, 3)
+        # With one newline per line, the 2k other separators are the 2k spaces.
+        if not (seps[0, 0] == 1 and (gap.view(np.uint64) < _MAX_DIGITS).all()
+                and not gap.reshape(k, 3)[:, 2].any()
+                and (chars[seps[:, 2]] == ord("\n")).all()
+                and np.count_nonzero(chars == ord(" ")) == 2 * k
+                and (chars[seps[:, 0] - 1] == ord("e")).all()
+                and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * k):
+            return None
+        x = words[seps[:, 1:] + (start - 8)]
+        x ^= _ZERO_CHARS
+        x &= _KEEP[gap].reshape(k, 3)[:, :2]
+        x *= np.uint64(10 << 8 | 1)
+        x >>= np.uint64(8)
+        x &= np.uint64(0x00FF00FF00FF00FF)
+        x *= np.uint64(100 << 16 | 1)
+        x >>= np.uint64(16)
+        x &= np.uint64(0x0000FFFF0000FFFF)
+        x *= np.uint64(10000 << 32 | 1)
+        x >>= np.uint64(32)
+        if not (x[:, 0] < x[:, 1]).all():
+            return None
+        edges[row:row + k] = x
+        row += k
+        start = stop
+    return edges
 
 
 def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:

@@ -1,11 +1,12 @@
 import tempfile
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dug import (
     BadVertex,
@@ -28,7 +29,7 @@ from dug import (
     state_index,
 )
 
-from dug.graph import _canonical_edges, _parse_lines
+from dug.graph import _canonical_edges, _edge_lines, _parse_lines
 
 from conftest import move_adjacency
 
@@ -59,6 +60,11 @@ def reference_text(g):
 def edge_block(data: bytes) -> bytes:
     """The bytes from the first line that begins 'e ' to the end of the file."""
     return data[data.find(b"\ne ") + 1:] if b"\ne " in data else b""
+
+
+def bulk_edges(data: bytes):
+    """What the bulk reader makes of the edge block of the file bytes data."""
+    return _canonical_edges(data, data.find(b"\ne ") + 1)
 
 
 @st.composite
@@ -120,11 +126,45 @@ class TestFromEdges:
         g = ExplicitGraph.from_edges(1, [])
         assert g.n == 1 and g.m == 0
 
-    @given(small_graphs(max_n=12))
-    def test_edges_match_edge_array(self, g):
-        arr = g.edge_array()
+    @given(small_graphs(max_n=12), st.sampled_from([1 << 16, 1, 3]))
+    def test_edges_match_edge_array(self, g, chunk):
+        with mock.patch("dug.graph._EDGE_CHUNK", chunk):
+            arr = g.edge_array()
+            listed = list(g.edges())
         assert arr.dtype == np.int64 and arr.shape == (g.m, 2)
-        assert list(g.edges()) == [tuple(e) for e in arr.tolist()] == reference_edges(g)
+        assert listed == [tuple(e) for e in arr.tolist()] == reference_edges(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda e: e.astype(np.int32),
+            lambda e: e.astype(np.int64),
+            lambda e: e.astype(np.uint32),
+            lambda e: [tuple(p) for p in e.tolist()],
+        ],
+        ids=["int32", "int64", "uint32", "list"],
+    )
+    def test_any_integer_input_matches_sorted_reference(self, make):
+        rng = np.random.default_rng(5)
+        n = 300
+        iu, iv = np.triu_indices(n, k=1)
+        pick = rng.choice(iu.size, size=2_000, replace=False)
+        edges = np.column_stack([iu[pick], iv[pick]])
+        swap = rng.random(len(edges)) < 0.5
+        edges[swap] = edges[swap, ::-1]
+        g = ExplicitGraph.from_edges(n, make(edges))
+        rows = [sorted({int(b) for a, b in edges if a == v} | {int(a) for a, b in edges if b == v})
+                for v in range(n)]
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        assert g.indptr.tolist() == [0, *accumulate(map(len, rows))]
+        assert g.indices.tolist() == [w for row in rows for w in row]
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2)), np.zeros(0, dtype=np.float32)],
+                             ids=["list", "float64", "float32"])
+    def test_empty_input_of_any_type(self, empty):
+        g = ExplicitGraph.from_edges(4, empty)
+        assert g.n == 4 and g.m == 0
+        assert g.indptr.tolist() == [0] * 5 and g.indices.dtype == np.int32
 
 
 class TestBuildExplicit:
@@ -353,7 +393,7 @@ class TestEdgeListIO:
         save_edge_list(g, f)
         data = f.read_bytes()
         assert data == reference_text(g).encode()
-        bulk = _canonical_edges(edge_block(data))
+        bulk = bulk_edges(data)
         assert bulk is None if g.m == 0 else np.array_equal(bulk, g.edge_array())
         assert load_edge_list(f) == g
 
@@ -371,6 +411,22 @@ class TestEdgeListIO:
             save_edge_list(g, f)
         assert f.read_bytes() == reference_text(g).encode()
         assert load_edge_list(f) == g
+
+    def test_row_longer_than_a_chunk_is_written_alone(self, tmp_path):
+        # Vertex 1 has 6 neighbours, more than a chunk of 4 adjacency entries.
+        g = ExplicitGraph.from_edges(9, [(0, 1), *((1, w) for w in range(2, 7)), (7, 8)])
+        blocks = []
+
+        def spy(edges, width):
+            blocks.append(edges.tolist())
+            return _edge_lines(edges, width)
+
+        f = tmp_path / "g.dug"
+        with mock.patch("dug.graph._EDGE_CHUNK", 4), mock.patch("dug.graph._edge_lines", spy):
+            save_edge_list(g, f)
+        assert [[1, w] for w in range(2, 7)] in blocks
+        assert [e for block in blocks for e in block] == [list(e) for e in reference_edges(g)]
+        assert f.read_bytes() == reference_text(g).encode()
 
     @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", " a", "a ", 7])
     def test_save_refuses_label_that_would_not_load_back(self, tmp_path, bad):
@@ -475,6 +531,9 @@ def load_traced(f):
         "dug 1 3 2\ne 0 1\r\ne 1 2\n",              # CRLF inside the edge block
         "dug 1 3 2\ne 0 1\n# note\ne 1 2\n",        # comment inside the edge block
         "dug 1 3 2\ne 0 1\ne 2 1\n",                # u > v
+        "dug 1 3 2\ne 0 1\nx 1 2\n",                # another record among the edges
+        "dug 1 3 2\ne 0 1\n5e 1 2\n",               # a digit before the 'e'
+        "dug 1 4 2\ne 0 1\te 2 3\n",                # a tab in place of a newline
         "dug 1 2 1\nl 0 a\nl 1 b\ne 0 1",           # no final newline
         "dug 1 3 x\n",
         "dug 1 " + "1" * 5000 + " 0\n",             # count too long for int()
@@ -483,7 +542,7 @@ def load_traced(f):
 def test_bulk_parser_defers_on_near_canonical_files(tmp_path, body):
     f = tmp_path / "g.dug"
     f.write_bytes(body.encode())
-    assert _canonical_edges(edge_block(f.read_bytes())) is None
+    assert bulk_edges(f.read_bytes()) is None
     assert load_traced(f) == (line_parser_outcome(f), [None])
 
 
@@ -501,7 +560,7 @@ def test_bulk_parser_reads_edges_after_any_head(tmp_path, body):
     f.write_bytes(body.encode())
     got, tails = load_traced(f)
     assert isinstance(got, ExplicitGraph) and got == line_parser_outcome(f)
-    assert len(tails) == 1 and np.array_equal(tails[0], _canonical_edges(edge_block(body.encode())))
+    assert len(tails) == 1 and np.array_equal(tails[0], bulk_edges(body.encode()))
 
 
 @pytest.mark.parametrize(
@@ -538,6 +597,93 @@ def test_bulk_parser_matches_line_parser(g, mutation, data):
         # Every line the mutation touched lies before the first edge line.
         assert np.array_equal(tails[0], g.edge_array())
         assert len(tails) == (1 if isinstance(got, ExplicitGraph) else 2)
+
+
+LAST_LINE_FAULTS = ["none", "duplicate", "u >= v", "out of range", "letter", "tab", "record",
+                    "prefix"]
+# Largest vertex count whose graph the test below builds; ids go up to 10**8 - 1.
+BUILT_N = 2000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.one_of(st.integers(3, BUILT_N), st.integers(3, 10**8)),
+       st.integers(1, 80), st.sampled_from(LAST_LINE_FAULTS))
+def test_bulk_reader_matches_line_parser_on_random_ids(data, n, chunk, fault):
+    """Ids of 1-8 digits with leading zeros, chunks of a few bytes, one fault on the last line."""
+    ids = st.integers(0, n - 1)
+    drawn = data.draw(st.lists(st.tuples(ids, ids), min_size=2, max_size=30))
+    pairs = list(dict.fromkeys((min(p), max(p)) for p in drawn if p[0] != p[1]))
+    assume(len(pairs) >= 2)
+    if fault == "duplicate":
+        pairs.append(pairs[data.draw(st.integers(0, len(pairs) - 1))])
+    elif fault == "u >= v":
+        pairs[-1] = pairs[-1][::-1]
+    elif fault == "out of range":
+        pairs[-1] = (pairs[-1][0], n)
+    # Pad each id with leading zeros to at most 8 digits, now and then to 9 or more.
+    tokens = [str(x).zfill(data.draw(st.integers(len(str(x)), max(8, len(str(x))))))
+              for p in pairs for x in p]
+    if data.draw(st.booleans()) and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = tokens[at].zfill(data.draw(st.integers(9, 12)))
+    long_token = max(map(len, tokens)) > 8  # n itself is out of range at n = 10**8
+    lines = [f"e {u} {v}\n" for u, v in zip(tokens[0::2], tokens[1::2])]
+    if fault == "letter":
+        lines[-1] = lines[-1][:-2] + "x\n"
+    elif fault == "tab":
+        lines[-1] = lines[-1].replace(" ", "\t", 1)
+    elif fault == "record":
+        lines[-1] = "x" + lines[-1][1:]
+    elif fault == "prefix":
+        lines[-1] = "7" + lines[-1]
+    body = f"dug 1 {n} {len(pairs)}\n{''.join(lines)}".encode()
+    with mock.patch("dug.graph._READ_CHUNK", chunk):
+        bulk = bulk_edges(body)
+    if long_token or fault in ("u >= v", "letter", "tab", "record", "prefix"):
+        assert bulk is None
+    else:
+        assert np.array_equal(bulk, pairs) and bulk.dtype == np.int32
+    if n > BUILT_N:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.dug"
+        f.write_bytes(body)
+        with mock.patch("dug.graph._READ_CHUNK", chunk):
+            got, tails = load_traced(f)
+        assert got == line_parser_outcome(f)
+    if fault in ("none", "tab"):  # the line parser takes a tab for a space
+        assert got == ExplicitGraph.from_edges(n, pairs)
+    else:
+        assert got == (ParseError, len(lines) + 1)
+    assert tails == [None] if bulk is None else np.array_equal(tails[0], pairs)
+
+
+def traced_peak(run) -> int:
+    """Bytes that tracemalloc sees allocated at the peak of run(), beyond those live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_edge_list_io_memory_is_bounded(tmp_path):
+    # The benchmark's blow-up: G*_{16,2} to 5 000 vertices, 778 636 edges.
+    g = blow_up(build_explicit(HanoiParams(16, 2, proper=True)), 5000)
+    f = tmp_path / "big.dug"
+    save_peak = traced_peak(lambda: save_edge_list(g, f))
+    size = f.stat().st_size
+    load_peak = traced_peak(lambda: load_edge_list(f))
+    assert g.m == 778_636
+    assert save_peak < 8_000_000
+    assert load_peak <= 3 * size
+    assert load_edge_list(f) == g
 
 
 class TestBlowUp:

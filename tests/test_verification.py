@@ -29,6 +29,7 @@ from dug.verification import (
     CheckResult,
     _pair_orbits,
     _pairs_covered,
+    _is_symmetric,
     _relabelings_preserve_edges,
     run_verify_suite,
 )
@@ -181,6 +182,28 @@ def test_broken_automorphism_is_caught():
     w = next(x for x in range(g.n) if x not in (u, v) and x not in g.neighbors_of(u))
     moved = ExplicitGraph.from_edges(g.n, np.vstack([[u, w], edges[1:]]))
     assert not _relabelings_preserve_edges(moved, params, states)
+
+
+def test_is_symmetric():
+    assert _is_symmetric([[1, 2], [0], [0]])
+    assert _is_symmetric([[1, 1], [0]])  # a repeated entry lists the same neighbour
+    assert _is_symmetric([[]])
+    assert not _is_symmetric([[1], []])
+    assert not _is_symmetric([[1, 2], [0, 2], [1]])
+
+
+def test_one_way_move_fails_adjacency_symmetry(monkeypatch):
+    real = dug.verification.neighbors
+
+    def one_way(x, params):
+        # Proper (1, 2) gains the move to (3, 1), which (3, 1) does not have back.
+        return real(x, params) + ([(3, 1)] if x == (1, 2) and params.proper else [])
+
+    monkeypatch.setattr(dug.verification, "neighbors", one_way)
+    rows = {c.name: c for c in run_verify_suite(3, 2)}
+    assert not rows["adjacency symmetry"].ok
+    assert not rows["builder matches moves (proper)"].ok
+    assert rows["builder matches moves (improper)"].ok
 
 
 def test_broken_solver_fails_pair_rows(monkeypatch):

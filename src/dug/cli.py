@@ -98,14 +98,19 @@ def _sample_sources(n: int, count: int | None):
     return [int(x) for x in np.unique(np.linspace(0, n - 1, count).round().astype(np.int64))]
 
 
-def _cmd_generate(args) -> int:
-    g = build_explicit(HanoiParams(args.r, args.k, proper=args.proper), cap=1 << args.cap)
+def _write(g, args) -> int:
+    """Save g to args.out and print its size, as text or JSON."""
     save_edge_list(g, args.out)
     if args.json:
         print(json.dumps({"out": args.out, "n": g.n, "m": g.m}))
     else:
         print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
+
+
+def _cmd_generate(args) -> int:
+    return _write(build_explicit(HanoiParams(args.r, args.k, proper=args.proper),
+                                 cap=1 << args.cap), args)
 
 
 def _cmd_analyze(args) -> int:
@@ -186,24 +191,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    t = iterate_truncation(args.r, args.k, cap=1 << args.cap)
-    save_edge_list(t.graph, args.out)
-    if args.json:
-        print(json.dumps({"out": args.out, "n": t.graph.n, "m": t.graph.m}))
-    else:
-        print(f"wrote {args.out}: n={t.graph.n} m={t.graph.m}")
-    return 0
+    return _write(iterate_truncation(args.r, args.k, cap=1 << args.cap).graph, args)
 
 
 def _cmd_blowup(args) -> int:
-    g = load_edge_list(args.infile)
-    big = blow_up(g, args.n_target)
-    save_edge_list(big, args.out)
-    if args.json:
-        print(json.dumps({"out": args.out, "n": big.n, "m": big.m}))
-    else:
-        print(f"wrote {args.out}: n={big.n} m={big.m}")
-    return 0
+    return _write(blow_up(load_edge_list(args.infile), args.n_target), args)
 
 
 def _cmd_verify(args) -> int:

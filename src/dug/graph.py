@@ -481,7 +481,8 @@ def load_edge_list(path) -> ExplicitGraph:
 
     Raises :class:`ParseError` (with the line number) for malformed lines,
     out-of-range vertices, self-loops, u >= v, or duplicates, and
-    :class:`InconsistentHeader` when the body disagrees with the header.
+    :class:`InconsistentHeader` when the body disagrees with the header, and
+    :class:`TooLarge` when it declares more than DEFAULT_STATE_CAP vertices.
 
     The run of canonical lines 'e <u> <v>\\n' that ends a file, from its first
     line that begins 'e ', is read in bulk (see :func:`_canonical_edges`); the
@@ -614,6 +615,8 @@ def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> Explic
                 raise ParseError(lineno, "non-integer count in header") from None
             if header[0] < 0 or header[1] < 0:
                 raise ParseError(lineno, "negative count in header")
+            if header[0] > DEFAULT_STATE_CAP:  # before anything n-sized is allocated
+                raise TooLarge(f"header declares {header[0]} vertices (cap {DEFAULT_STATE_CAP})")
             continue
         n = header[0]
         if fields[0] == "l":

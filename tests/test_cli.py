@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from dug import HanoiParams, load_edge_list, parse_path, solve, verify_path
+from dug import DEFAULT_STATE_CAP, HanoiParams, load_edge_list, parse_path, solve, verify_path
 from dug.cli import cli_dispatch
+
+from conftest import traced_peak
 
 
 def run(capsys, *argv):
@@ -161,6 +163,7 @@ def test_truncate(tmp_path, capsys):
     out = str(tmp_path / "t.dug")
     code, stdout, _ = run(capsys, "truncate", "--r", "3", "--k", "2", "--out", out)
     assert code == 0
+    assert stdout == f"wrote {out}: n=12 m=18\n"
     g = load_edge_list(out)
     assert g.n == 12 and g.m == 18
     assert g.labels is not None
@@ -174,6 +177,10 @@ def test_blowup(tmp_path, capsys):
     assert code == 0
     g = load_edge_list(out)
     assert g.n == 4 and g.m == 4
+    code, stdout, _ = run(capsys, "blowup", "--in", src, "--n-target", "6", "--out", out,
+                          "--json")
+    assert code == 0
+    assert json.loads(stdout) == {"out": out, "n": 6, "m": 9}
 
 
 @pytest.mark.parametrize("n_target", ["3", "0"])
@@ -229,6 +236,22 @@ def test_bad_file_exit_code(tmp_path, capsys):
     code, _, stderr = run(capsys, "analyze", "--in", str(bad))
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("n", [10**12, DEFAULT_STATE_CAP + 1])
+@pytest.mark.parametrize("command", ["analyze", "blowup"])
+def test_header_past_the_vertex_cap_exits_2(tmp_path, capsys, n, command):
+    src = tmp_path / "huge.dug"
+    src.write_text(f"dug 1 {n} 1\ne 0 1\n")
+    out = tmp_path / "b.dug"
+    argv = ["--n-target", "5", "--out", str(out)] if command == "blowup" else []
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli_dispatch([command, "--in", str(src), *argv])))
+    captured = capsys.readouterr()
+    assert codes == [2] and captured.out == ""
+    assert captured.err == f"error: header declares {n} vertices (cap {DEFAULT_STATE_CAP})\n"
+    assert peak < 100_000
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

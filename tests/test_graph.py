@@ -1,5 +1,4 @@
 import tempfile
-import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dug import (
+    DEFAULT_STATE_CAP,
     BadVertex,
     ExplicitGraph,
     HanoiParams,
@@ -31,7 +31,7 @@ from dug import (
 
 from dug.graph import _canonical_edges, _edge_lines, _parse_lines
 
-from conftest import move_adjacency
+from conftest import move_adjacency, traced_peak
 
 
 def complete_graph(n):
@@ -658,21 +658,6 @@ def test_bulk_reader_matches_line_parser_on_random_ids(data, n, chunk, fault):
     assert tails == [None] if bulk is None else np.array_equal(tails[0], pairs)
 
 
-def traced_peak(run) -> int:
-    """Bytes that tracemalloc sees allocated at the peak of run(), beyond those live before."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 def test_edge_list_io_memory_is_bounded(tmp_path):
     # The benchmark's blow-up: G*_{16,2} to 5 000 vertices, 778 636 edges.
     g = blow_up(build_explicit(HanoiParams(16, 2, proper=True)), 5000)
@@ -684,6 +669,20 @@ def test_edge_list_io_memory_is_bounded(tmp_path):
     assert save_peak < 8_000_000
     assert load_peak <= 3 * size
     assert load_edge_list(f) == g
+
+
+@pytest.mark.parametrize("n", [10**12, DEFAULT_STATE_CAP + 1])
+@pytest.mark.parametrize("rest", ["1\ne 0 1\n", "0\n"], ids=["bulk", "line"])
+def test_header_vertex_count_past_the_cap_is_refused(tmp_path, n, rest):
+    f = tmp_path / "huge.dug"
+    f.write_text(f"dug 1 {n} {rest}")
+
+    def load():
+        want = rf"^header declares {n} vertices \(cap {DEFAULT_STATE_CAP}\)$"
+        with pytest.raises(TooLarge, match=want):
+            load_edge_list(f)
+
+    assert traced_peak(load) < 100_000
 
 
 class TestBlowUp:

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dug import (
     INVOLUTE,
@@ -12,10 +15,40 @@ from dug import (
     apply_move,
     base_simplex,
     enumerate_states,
+    format_state,
     iterate_truncation,
     truncate_once,
     verify_isomorphism,
 )
+
+
+def reference_truncate_once(t: LabeledGraph) -> LabeledGraph:
+    """truncate_once as a loop: a dict of ordered pairs and combinations of each neighbour list."""
+    g = t.graph
+    pairs = [(u, int(w)) for u in range(g.n) for w in g.neighbors_of(u)]
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    edges = [(pair_id[(u, w)], pair_id[(w, u)]) for u, w in pairs if u < w]
+    for u in range(g.n):
+        nbrs = [int(w) for w in g.neighbors_of(u)]
+        edges += [(pair_id[(u, y)], pair_id[(u, z)]) for y, z in combinations(nbrs, 2)]
+    states = tuple(t.states[u] + (t.states[w][-1],) for u, w in pairs)
+    graph = ExplicitGraph.from_edges(len(pairs), edges, [format_state(s) for s in states])
+    return LabeledGraph(graph=graph, states=states, r=t.r)
+
+
+def labeled(n, edges):
+    """A graph on n vertices labeled by the length-1 states (0,) .. (n-1,), r = n - 1."""
+    states = tuple((i,) for i in range(n))
+    g = ExplicitGraph.from_edges(n, edges, [format_state(s) for s in states])
+    return LabeledGraph(g, states, r=n - 1)
+
+
+@st.composite
+def labeled_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return labeled(n, edges)
 
 
 class TestBaseSimplex:
@@ -63,6 +96,23 @@ class TestTruncateOnce:
         g = ExplicitGraph.from_edges(1, [], labels=["0"])
         with pytest.raises(EmptyGraph):
             truncate_once(LabeledGraph(g, ((0,),), r=1))
+
+    @pytest.mark.parametrize("n,edges", [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # path
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),  # star
+        (5, [(0, 1), (1, 2), (0, 2), (2, 4)]),  # vertex 3 isolated
+    ], ids=["path", "star", "isolated"])
+    def test_matches_reference(self, n, edges):
+        t = labeled(n, edges)
+        for _ in range(2):
+            want = reference_truncate_once(t)
+            t = truncate_once(t)
+            assert t == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_graphs())
+    def test_matches_reference_on_random_graphs(self, t):
+        assert truncate_once(t) == reference_truncate_once(t)
 
     def test_partner_is_perfect_matching(self):
         t0 = iterate_truncation(3, 2)
@@ -153,6 +203,13 @@ class TestIsomorphism:
         g = ExplicitGraph.from_edges(t.graph.n, swapped, t.graph.labels)
         rewired = LabeledGraph(g, t.states, r=t.r)
         assert not verify_isomorphism(rewired, HanoiParams(3, 2))
+
+    def test_swapped_labels_detected(self):
+        t = iterate_truncation(3, 3)
+        states = list(t.states)
+        states[0], states[1] = states[1], states[0]
+        swapped = LabeledGraph(t.graph, tuple(states), r=t.r)
+        assert not verify_isomorphism(swapped, HanoiParams(3, 3))
 
     def test_labeled_graph_validation(self):
         g = ExplicitGraph.from_edges(2, [(0, 1)], labels=["0", "1"])

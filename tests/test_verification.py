@@ -10,8 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dug.truncation
 import dug.verification
 from dug import (
+    DEFAULT_STATE_CAP,
     INVOLUTE,
     Adjust,
     ExplicitGraph,
@@ -185,11 +187,52 @@ def test_broken_automorphism_is_caught():
 
 
 def test_is_symmetric():
-    assert _is_symmetric([[1, 2], [0], [0]])
-    assert _is_symmetric([[1, 1], [0]])  # a repeated entry lists the same neighbour
-    assert _is_symmetric([[]])
-    assert not _is_symmetric([[1], []])
-    assert not _is_symmetric([[1, 2], [0, 2], [1]])
+    # (x, y, n, symmetric): the pairs x -> y over vertices 0..n-1.
+    for x, y, n, want in (
+        ([0, 0, 1, 2], [1, 2, 0, 0], 3, True),
+        ([0, 0, 1], [1, 1, 0], 2, True),  # a repeated pair lists the same neighbour
+        ([], [], 1, True),
+        ([0], [1], 2, False),
+        ([0, 0, 1, 1, 2], [1, 2, 0, 2, 1], 3, False),
+    ):
+        assert _is_symmetric(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), n) is want
+
+
+def test_neighbors_called_once_per_state(monkeypatch):
+    real = dug.verification.neighbors
+    calls = Counter()
+
+    def spy(x, params):
+        calls[params.proper] += 1
+        return real(x, params)
+
+    monkeypatch.setattr(dug.verification, "neighbors", spy)
+    r, k = 4, 3
+    assert all(c.ok for c in run_verify_suite(r, k))
+    assert calls == {True: r**k, False: (r + 1) * r ** (k - 1)}
+
+
+def test_builder_fault_fails_the_builder_and_truncation_rows(monkeypatch):
+    """An improper edge moved in build_explicit shows in both rows that rest on it."""
+    real = dug.verification.build_explicit
+
+    def moved(params, cap=DEFAULT_STATE_CAP):
+        g = real(params, cap)
+        if params.proper:
+            return g
+        (u, v), *rest = g.edge_array().tolist()
+        w = next(w for w in range(g.n) if w not in (u, v) and w not in g.neighbors_of(u))
+        return ExplicitGraph.from_edges(g.n, [(u, w), *rest], g.labels)
+
+    monkeypatch.setattr(dug.verification, "build_explicit", moved)
+    monkeypatch.setattr(dug.truncation, "build_explicit", moved)
+    failed = [c.name for c in run_verify_suite(3, 3) if not c.ok]
+    # The moved edge also leaves two improper vertices off degree r.
+    assert failed == [
+        "builder matches moves (improper)",
+        "improper graph r-regular",
+        "truncation isomorphism",
+    ]
 
 
 def test_one_way_move_fails_adjacency_symmetry(monkeypatch):
@@ -204,6 +247,31 @@ def test_one_way_move_fails_adjacency_symmetry(monkeypatch):
     assert not rows["adjacency symmetry"].ok
     assert not rows["builder matches moves (proper)"].ok
     assert rows["builder matches moves (improper)"].ok
+
+
+def test_builder_with_an_extra_vertex_fails_its_row(monkeypatch):
+    real = dug.verification.build_explicit
+
+    def padded(params, cap):
+        g = real(params, cap)
+        return g if params.proper else ExplicitGraph.from_edges(g.n + 1, g.edge_array())
+
+    monkeypatch.setattr(dug.verification, "build_explicit", padded)
+    rows = {c.name: c for c in run_verify_suite(3, 2)}
+    assert not rows["builder matches moves (improper)"].ok
+    assert rows["builder matches moves (proper)"].ok
+
+
+def test_broken_involution_fails_its_row(monkeypatch):
+    real = dug.verification.apply_move
+
+    def broken(x, move, params):
+        # (1, 2) goes to (1, 3), whose involution (3, 1) does not lead back.
+        return (1, 3) if x == (1, 2) and move is INVOLUTE else real(x, move, params)
+
+    monkeypatch.setattr(dug.verification, "apply_move", broken)
+    failed = [c.name for c in run_verify_suite(3, 2) if not c.ok]
+    assert failed == ["involution self-inverse"]
 
 
 def test_broken_solver_fails_pair_rows(monkeypatch):

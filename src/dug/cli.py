@@ -15,7 +15,7 @@ import numpy as np
 
 from .analyze import best_uniformity, is_distance_uniform
 from .graph import blow_up, build_explicit, load_edge_list, save_edge_list
-from .hanoi import HanoiParams, make_state, parse_state
+from .hanoi import HanoiParams, _sorted_unique, make_state, parse_state
 from .planner import plan_parameters
 from .solver import format_path, solve, verify_path
 from .truncation import iterate_truncation
@@ -95,7 +95,8 @@ def _sample_sources(n: int, count: int | None):
         raise ValueError(f"source sample must be at least 1, got {count}")
     if count is None or count >= n:
         return None
-    return [int(x) for x in np.unique(np.linspace(0, n - 1, count).round().astype(np.int64))]
+    picked = _sorted_unique(np.linspace(0, n - 1, count).round().astype(np.int64))
+    return [int(x) for x in picked]
 
 
 def _write(g, args) -> int:

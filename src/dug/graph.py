@@ -23,6 +23,7 @@ from .hanoi import (
     HanoiParams,
     TooLarge,
     _first_appearance,
+    _sorted_unique,
     encode_states,
     state_matrix,
 )
@@ -351,7 +352,7 @@ def distance_histograms(
         return g._histograms
     scan = sources
     if sources is None and g.classes is not None:
-        scan = np.unique(g.classes)
+        scan = _sorted_unique(g.classes)
     # Row i's distance v lands in bin i * span + v + 1, so column 0 counts its -1s.
     ids, counts = [np.zeros(0, dtype=np.int64)], []
     for chunk, rows in iter_distance_rows(g, sources=scan):

@@ -319,6 +319,18 @@ def _first_appearance(rows: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarr
     return out, top
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array by sort and compare.
+
+    The first ``np.unique`` call in a process imports ``numpy.ma`` (about
+    16 ms with numpy 2.4), which every dug command would pay.
+    """
+    out = np.sort(values)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def encode_states(matrix: np.ndarray, params: HanoiParams) -> np.ndarray:
     """Vectorized :func:`state_index` over the rows of an (n, k) state matrix."""
     r = params.r

@@ -11,8 +11,12 @@ path is whitespace-separated moves, e.g. ``a3 i a0``.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .hanoi import (
     INVOLUTE,
@@ -21,7 +25,9 @@ from .hanoi import (
     Move,
     MoveError,
     State,
+    _sorted_unique,
     apply_move,
+    encode_states,
     make_state,
 )
 
@@ -104,6 +110,96 @@ def path_states(path: MovePath, params: HanoiParams) -> list[State]:
             raise IllegalMoveAt(i, str(exc)) from exc
         states.append(state)
     return states
+
+
+# Moves replayed per block by _replay_walks, a walk counting one more than its
+# moves: it bounds the block's paths and code arrays whatever the total count.
+_BLOCK_MOVES = 1 << 17
+
+
+def _blocks(walks):
+    """Lists of consecutive walks, each closed once it holds _BLOCK_MOVES moves."""
+    block, size = [], 0
+    for walk in walks:
+        block.append(walk)
+        size += len(walk[2]) + 1
+        if size >= _BLOCK_MOVES:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _learn(keys, ends, new, states, params):
+    """``keys``/``ends`` with the sorted ``new`` keys added, each applied once by ``apply_move``."""
+    r1 = params.r + 1
+    vertex, code = np.divmod(new, r1 + 1)
+    images, legal = [], []
+    for x, c in zip(states[vertex].tolist(), code.tolist()):
+        try:
+            images.append(apply_move(tuple(x), INVOLUTE if c == r1 else Adjust(c), params))
+            legal.append(True)
+        except MoveError:
+            legal.append(False)
+    image = np.full(new.size, -1, dtype=np.int64)
+    image[legal] = encode_states(np.array(images, dtype=np.int64).reshape(-1, params.k), params)
+    at = np.searchsorted(keys, new)
+    return np.insert(keys, at, new), np.insert(ends, at, image)
+
+
+def _replay_walks(walks, states: np.ndarray, params: HanoiParams) -> bool:
+    """Replay (start, goal, moves) walks over vertex ids, a block of walks in step.
+
+    True when every walk's moves are legal, keep its first entry at its
+    start's or goal's, and lead from its start to its goal.  Vertex ids index
+    the rows of ``states``, the ``state_matrix`` of ``params``.  A move is
+    coded as its adjustment target, or r + 1 for the involution, and each
+    (vertex, code) met for the first time goes through ``apply_move`` once;
+    what it gives is kept for the rest of the call, sized by the transitions
+    met.
+    """
+    r1 = params.r + 1
+    # A sentinel above every key lets searchsorted land on a key slot.
+    keys = np.array([np.iinfo(np.int64).max])  # vertex * (r + 2) + code, sorted
+    ends = np.array([-1])  # the vertex each key leads to, -1 when illegal
+    # first_of[-1] = -1 is no walk's first entry, so an illegal move fails that test.
+    first_of = np.append(states[:, 0], -1)
+    for block in _blocks(walks):
+        starts, goals, moves = zip(*block)
+        counts = np.fromiter(map(len, moves), dtype=np.int64, count=len(moves))
+        # NaN codes the involution, so that no adjustment target reads as one.
+        codes = np.fromiter(
+            (math.nan if m is INVOLUTE else m.value for m in itertools.chain.from_iterable(moves)),
+            dtype=np.float64,
+            count=int(counts.sum()),
+        )
+        # An adjustment outside 0..r is refused by apply_move from every state.
+        if ((codes < 0) | (codes > params.r)).any():
+            return False
+        codes[np.isnan(codes)] = r1
+        codes = codes.astype(np.min_scalar_type(r1))
+        # Longest walks first, so the walks still moving at step t are a prefix.
+        order = np.argsort(-counts, kind="stable")
+        offsets = (np.cumsum(counts) - counts)[order]
+        counts = counts[order]
+        v = np.array(starts, dtype=np.int64)[order]
+        goal = np.array(goals, dtype=np.int64)[order]
+        fa, fb = first_of[v], first_of[goal]
+        moving = np.searchsorted(-counts, -np.arange(counts[0]))  # walks longer than t
+        for t, m in enumerate(moving.tolist()):
+            key = v[:m] * (r1 + 1) + codes[offsets[:m] + t]
+            pos = keys.searchsorted(key)
+            missing = keys[pos] != key
+            if missing.any():
+                keys, ends = _learn(keys, ends, _sorted_unique(key[missing]), states, params)
+                pos = keys.searchsorted(key)
+            v[:m] = ends[pos]
+            first = first_of[v[:m]]
+            if ((first != fa[:m]) & (first != fb[:m])).any():
+                return False
+        if not np.array_equal(v, goal):
+            return False
+    return True
 
 
 def format_move(move: Move) -> str:

@@ -12,7 +12,8 @@ times yields a graph whose vertices are canonically labeled by all length-k
 Hanoi states over {0..r}, sibling edges matching adjustments and partner
 edges matching involutions (Hinz et al., *The Tower of Hanoi -- Myths and
 Maths*, 2013).  verify_isomorphism certifies that labeling against
-build_explicit, the graph the verify suite certifies against the move rules.
+build_explicit, the graph the verify suite certifies against the move rules
+(the suite hands its certified graph to the same certificate).
 """
 
 from __future__ import annotations
@@ -126,11 +127,20 @@ def verify_isomorphism(t: LabeledGraph, params: HanoiParams) -> bool:
         raise WrongShape(
             f"labels have (r, k) = ({t.r}, {t.k}), params say ({params.r}, {params.k})"
         )
-    n = params.state_count()
-    ranks = encode_states(np.array(t.states), params)
+    return _certify(t, build_explicit(params))
+
+
+def _certify(t: LabeledGraph, graph: ExplicitGraph) -> bool:
+    """True iff renaming each vertex of ``t`` to its state's rank maps its edges onto ``graph``'s.
+
+    ``graph`` stands for the improper Hanoi graph of ``t``'s (r, k), vertices
+    numbered by rank; the verify suite passes the one it has just certified.
+    """
+    n = graph.n
+    ranks = encode_states(np.array(t.states), HanoiParams(t.r, t.k, proper=False))
     if t.graph.n != n or not np.array_equal(np.sort(ranks), np.arange(n)):
         return False
     ends = ranks[t.graph.edge_array()]
-    want = build_explicit(params).edge_array()
+    want = graph.edge_array()
     return np.array_equal(np.sort(ends.min(axis=1) * n + ends.max(axis=1)),
                           want[:, 0] * n + want[:, 1])

@@ -1,9 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from dug import DEFAULT_STATE_CAP, HanoiParams, load_edge_list, parse_path, solve, verify_path
+from dug import (
+    DEFAULT_STATE_CAP,
+    HanoiParams,
+    build_explicit,
+    load_edge_list,
+    parse_path,
+    save_edge_list,
+    solve,
+    verify_path,
+)
 from dug.cli import cli_dispatch
 
 from conftest import traced_peak
@@ -285,3 +298,23 @@ def test_verify_at_planner_scale(capsys):
     assert code == 0
     assert "[PASS] solver vs BFS bounds: all 16777216 pairs (4140 orbits)\n" in stdout
     assert "[PASS] value relabeling is an automorphism" in stdout
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    """The first np.unique call in a process imports numpy.ma (about 16 ms); no command needs it."""
+    graph = str(tmp_path / "g.dug")
+    save_edge_list(build_explicit(HanoiParams(4, 2, proper=True)), graph)
+    script = (
+        "import contextlib, io, sys\n"
+        "from dug.cli import cli_dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli_dispatch(['analyze', '--in', {graph!r}, '--sources', '4']),\n"
+        "             cli_dispatch(['verify', '--r', '3', '--k', '2']),\n"
+        "             cli_dispatch(['verify', '--r', '3', '--k', '2', '--sample-pairs', '5'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[0, 0, 0] False\n"

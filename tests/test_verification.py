@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dug.solver
 import dug.truncation
 import dug.verification
 from dug import (
@@ -24,9 +25,11 @@ from dug import (
     enumerate_states,
     iter_distance_rows,
     legal_moves,
+    solve,
 )
+from dug.cli import cli_dispatch
 from dug.hanoi import apply_move, state_matrix
-from dug.solver import _construct
+from dug.solver import _construct, _replay_walks
 from dug.verification import (
     CheckResult,
     _pair_orbits,
@@ -35,6 +38,8 @@ from dug.verification import (
     _relabelings_preserve_edges,
     run_verify_suite,
 )
+
+from conftest import traced_peak
 
 PAIR_ROWS = (
     "solver vs BFS bounds",
@@ -120,8 +125,9 @@ def all_pairs_rows(r: int, k: int) -> list[CheckResult]:
 
 
 # Every (r, k) with r^k <= 625 but (2, 9): r = 2's relabeling group has order 2,
-# so the suite alone replays about n^2 / 2 = 131 072 paths of up to 511 moves
-# there (about 40 s on a 2-CPU x86_64 host).  r = 1 has one state for every k.
+# so the suite replays about n^2 / 2 = 131 072 paths there, 22.4 M moves (about
+# 8 s on a 2-CPU x86_64 host), and all_pairs_rows adds about 10 s more.  r = 1
+# has one state for every k.
 DESK = [
     (r, k)
     for r in range(1, 26)
@@ -297,6 +303,83 @@ def test_broken_solver_fails_pair_rows(monkeypatch):
         assert not rows["solver vs BFS bounds"].ok
         assert not rows["disjoint-support exactness"].ok
         assert rows[AUTOMORPHISM].ok and rows["diameter"].ok
+
+
+# (a, b) of (3, 2) -> the moves a faulty solver returns for that pair; each
+# fault breaks one rule of the replay and keeps every other one.
+FAULTS = {
+    "illegal adjustment": (((1, 2), (1, 3)), (Adjust(1),)),
+    "ends at the wrong state": (((1, 2), (1, 3)), (Adjust(0),)),
+    "first entry leaves a_1, b_1": (((1, 2), (1, 3)), (INVOLUTE, INVOLUTE, Adjust(3))),
+    "adjustment past r, where the involution is legal": (((1, 2), (2, 1)), (Adjust(4),)),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
+    """A path that breaks the move rules is a failed check, not bad input to dug verify."""
+    pair, moves = FAULTS[fault]
+    real = dug.verification.solve
+
+    def faulty(a, b, params):
+        path = real(a, b, params)
+        return MovePath(path.start, moves) if (a, b) == pair else path
+
+    monkeypatch.setattr(dug.verification, "solve", faulty)
+    assert [c.name for c in run_verify_suite(3, 2) if not c.ok] == ["solver vs BFS bounds"]
+    assert cli_dispatch(["verify", "--r", "3", "--k", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "[FAIL] solver vs BFS bounds: all 81 pairs (14 orbits)\n" in out
+    assert out.endswith("14/15 checks passed\n")
+
+
+def test_replay_applies_each_transition_once(monkeypatch):
+    """The 2 795 paths of (4, 4) make 27 060 moves over 331 distinct (state, move) pairs."""
+    real = dug.solver.apply_move
+    calls = []
+
+    def spy(x, move, params):
+        calls.append((x, move))
+        return real(x, move, params)
+
+    monkeypatch.setattr(dug.solver, "apply_move", spy)
+    assert all(c.ok for c in run_verify_suite(4, 4))
+    assert len(calls) == len(set(calls)) == 331
+
+
+def test_replay_memory_is_bounded_by_the_block(monkeypatch):
+    proper = HanoiParams(2, 7, proper=True)
+    states = state_matrix(proper)
+    listed = enumerate_states(proper)
+    sources, pair_a, pair_b, _ = _pair_orbits(states)
+    walks = [(a, b, solve(listed[a], listed[b], proper).moves)
+             for a, b in zip(sources[pair_a], pair_b)]
+    quarter = walks[:len(walks) // 4]
+    block = 4096
+    monkeypatch.setattr(dug.solver, "_BLOCK_MOVES", block)
+    assert _replay_walks(iter(quarter), states, proper)
+    peaks = [traced_peak(lambda part=part: _replay_walks(iter(part), states, proper))
+             for part in (quarter, walks)]
+    moves = sum(len(w[2]) for w in walks)
+    # 349 504 moves: one 8-byte code each would be 2.8 MB.
+    assert moves > 80 * block
+    assert peaks[1] < 32 * block
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_suite_builds_each_explicit_graph_once(monkeypatch):
+    real = dug.verification.build_explicit
+    calls = Counter()
+
+    def spy(params, cap=DEFAULT_STATE_CAP):
+        calls[params.proper] += 1
+        return real(params, cap)
+
+    monkeypatch.setattr(dug.verification, "build_explicit", spy)
+    monkeypatch.setattr(dug.truncation, "build_explicit", spy)
+    assert all(c.ok for c in run_verify_suite(3, 3))
+    assert calls == {True: 1, False: 1}
 
 
 def test_solver_row_needs_every_orbit(monkeypatch):

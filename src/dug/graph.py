@@ -200,7 +200,7 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
 
     The cap bounds both the state count and the edge count.  Adjacency is
     computed arithmetically on lexicographic ranks (see hanoi.state_index);
-    the test suite checks this against the move-level neighbors() definition.
+    the verify suite checks this against the move rules, applied state by state.
 
     Renaming the values 1..r (0 fixed) of proper states, or 0..r of all
     states, is an automorphism of the graph (Hinz et al., *The Tower of Hanoi
@@ -262,6 +262,20 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     g.classes = encode_states(canonical, params)
     g.classes.setflags(write=False)
     return g
+
+
+def _maps_edges_onto(image: np.ndarray, edges: np.ndarray, want: np.ndarray, n: int) -> bool:
+    """True iff ``image`` permutes 0..n-1 and carries the ``edges`` (u, v) onto those of ``want``.
+
+    Vertex v goes to ``image[v]``.  ``want`` lists a graph's edges as
+    :meth:`ExplicitGraph.edge_array` does; ``edges`` may list theirs in any
+    order and orientation.
+    """
+    if not np.array_equal(np.sort(image), np.arange(n)):
+        return False
+    ends = image[edges]
+    return np.array_equal(np.sort(ends.min(axis=1) * n + ends.max(axis=1)),
+                          want[:, 0] * n + want[:, 1])
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -206,34 +205,13 @@ def has_disjoint_support(a: State, b: State) -> bool:
     return not set(a) & set(b)
 
 
-def iter_states(params: HanoiParams) -> Iterator[State]:
-    """Yield all valid states in lexicographic order of their entry sequences."""
-    r, k = params.r, params.k
-    first = range(1, r + 1) if params.proper else range(r + 1)
-
-    def extend(prefix: State) -> Iterator[State]:
-        if len(prefix) == k:
-            yield prefix
-            return
-        last = prefix[-1]
-        for v in range(r + 1):
-            if v != last:
-                yield from extend(prefix + (v,))
-
-    for f in first:
-        yield from extend((f,))
-
-
 def enumerate_states(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> list[State]:
-    """All valid states in lexicographic order.
+    """All valid states in lexicographic order: the rows of :func:`state_matrix` as tuples.
 
     Raises :class:`TooLarge` when the state count exceeds ``cap``; the count is
     checked against the closed form before any enumeration happens.
     """
-    count = params.state_count()
-    if count > cap:
-        raise TooLarge(f"{count} states exceed the cap of {cap}")
-    return list(iter_states(params))
+    return list(map(tuple, state_matrix(params, cap).tolist()))
 
 
 def format_state(x: State) -> str:

@@ -25,9 +25,7 @@ from .hanoi import (
     Move,
     MoveError,
     State,
-    _sorted_unique,
     apply_move,
-    encode_states,
     make_state,
 )
 
@@ -130,40 +128,18 @@ def _blocks(walks):
         yield block
 
 
-def _learn(keys, ends, new, states, params):
-    """``keys``/``ends`` with the sorted ``new`` keys added, each applied once by ``apply_move``."""
-    r1 = params.r + 1
-    vertex, code = np.divmod(new, r1 + 1)
-    images, legal = [], []
-    for x, c in zip(states[vertex].tolist(), code.tolist()):
-        try:
-            images.append(apply_move(tuple(x), INVOLUTE if c == r1 else Adjust(c), params))
-            legal.append(True)
-        except MoveError:
-            legal.append(False)
-    image = np.full(new.size, -1, dtype=np.int64)
-    image[legal] = encode_states(np.array(images, dtype=np.int64).reshape(-1, params.k), params)
-    at = np.searchsorted(keys, new)
-    return np.insert(keys, at, new), np.insert(ends, at, image)
-
-
-def _replay_walks(walks, states: np.ndarray, params: HanoiParams) -> bool:
+def _replay_walks(walks, table: np.ndarray, first: np.ndarray, params: HanoiParams) -> bool:
     """Replay (start, goal, moves) walks over vertex ids, a block of walks in step.
 
     True when every walk's moves are legal, keep its first entry at its
-    start's or goal's, and lead from its start to its goal.  Vertex ids index
-    the rows of ``states``, the ``state_matrix`` of ``params``.  A move is
-    coded as its adjustment target, or r + 1 for the involution, and each
-    (vertex, code) met for the first time goes through ``apply_move`` once;
-    what it gives is kept for the rest of the call, sized by the transitions
-    met.
+    start's or goal's, and lead from its start to its goal.  A move is coded
+    as its adjustment target, or r + 1 for the involution; ``table[v, code]``
+    is the vertex it leads to from v, -1 when it is illegal there, and
+    ``first[v]`` is v's first entry.  The replay calls no move function.
     """
     r1 = params.r + 1
-    # A sentinel above every key lets searchsorted land on a key slot.
-    keys = np.array([np.iinfo(np.int64).max])  # vertex * (r + 2) + code, sorted
-    ends = np.array([-1])  # the vertex each key leads to, -1 when illegal
     # first_of[-1] = -1 is no walk's first entry, so an illegal move fails that test.
-    first_of = np.append(states[:, 0], -1)
+    first_of = np.append(first, -1)
     for block in _blocks(walks):
         starts, goals, moves = zip(*block)
         counts = np.fromiter(map(len, moves), dtype=np.int64, count=len(moves))
@@ -187,15 +163,9 @@ def _replay_walks(walks, states: np.ndarray, params: HanoiParams) -> bool:
         fa, fb = first_of[v], first_of[goal]
         moving = np.searchsorted(-counts, -np.arange(counts[0]))  # walks longer than t
         for t, m in enumerate(moving.tolist()):
-            key = v[:m] * (r1 + 1) + codes[offsets[:m] + t]
-            pos = keys.searchsorted(key)
-            missing = keys[pos] != key
-            if missing.any():
-                keys, ends = _learn(keys, ends, _sorted_unique(key[missing]), states, params)
-                pos = keys.searchsorted(key)
-            v[:m] = ends[pos]
-            first = first_of[v[:m]]
-            if ((first != fa[:m]) & (first != fb[:m])).any():
+            v[:m] = table[v[:m], codes[offsets[:m] + t]]
+            f = first_of[v[:m]]
+            if ((f != fa[:m]) & (f != fb[:m])).any():
                 return False
         if not np.array_equal(v, goal):
             return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExplicitGraph, build_explicit
+from .graph import ExplicitGraph, _maps_edges_onto, build_explicit
 from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
@@ -136,11 +136,5 @@ def _certify(t: LabeledGraph, graph: ExplicitGraph) -> bool:
     ``graph`` stands for the improper Hanoi graph of ``t``'s (r, k), vertices
     numbered by rank; the verify suite passes the one it has just certified.
     """
-    n = graph.n
     ranks = encode_states(np.array(t.states), HanoiParams(t.r, t.k, proper=False))
-    if t.graph.n != n or not np.array_equal(np.sort(ranks), np.arange(n)):
-        return False
-    ends = ranks[t.graph.edge_array()]
-    want = graph.edge_array()
-    return np.array_equal(np.sort(ends.min(axis=1) * n + ends.max(axis=1)),
-                          want[:, 0] * n + want[:, 1])
+    return _maps_edges_onto(ranks, t.graph.edge_array(), graph.edge_array(), graph.n)

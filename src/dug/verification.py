@@ -10,16 +10,21 @@ an automorphism of the proper Hanoi graph, which the suite itself checks, and
 the solver commutes with it (Hinz et al., *The Tower of Hanoi -- Myths and
 Maths*, 2013).  So each check gives one verdict on a whole orbit of ordered
 state pairs, and the suite replays one representative per orbit: 2 795 for
-the 65 536 pairs of (4, 4).  The solver paths are replayed together over
-vertex ids, through a table that applies each distinct (state, move)
-transition once: 331 ``apply_move`` calls for the 27 060 moves of (4, 4).
-A move that breaks the rules fails the solver row; it is not an input error.
+the 65 536 pairs of (4, 4).
+
+The move rules are applied once per legal (state, move), into one move table
+per mode that the builder, adjacency-symmetry and involution rows read: 2 300
+``apply_move`` calls at (4, 4).  The solver paths are replayed together over
+vertex ids through the proper table, with no ``apply_move`` call for their
+27 060 moves.  A move that breaks the rules fails the solver row; it is not
+an input error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +39,7 @@ from .analyze import (
 )
 from .graph import (
     ExplicitGraph,
+    _maps_edges_onto,
     build_explicit,
     diameter,
     distance_histograms,
@@ -43,13 +49,11 @@ from .hanoi import (
     DEFAULT_STATE_CAP,
     INVOLUTE,
     HanoiParams,
-    IllegalInvolute,
     _first_appearance,
     _sorted_unique,
     apply_move,
     encode_states,
-    enumerate_states,
-    neighbors,
+    legal_moves,
     state_matrix,
 )
 from .solver import _replay_walks, solve
@@ -101,49 +105,55 @@ def _relabelings_preserve_edges(g: ExplicitGraph, params: HanoiParams, states) -
     check, are constant on the orbits of state pairs.
     """
     r = params.r
-    want = g.edge_array()
-    keys = want[:, 0] * g.n + want[:, 1]
+    edges = g.edge_array()
     for perm in ([0, 2, 1, *range(3, r + 1)], [0, *range(2, r + 1), 1]):
         image = encode_states(np.asarray(perm, dtype=states.dtype)[states], params)
-        if not np.array_equal(np.sort(image), np.arange(g.n)):
-            return False
-        ends = image[want]
-        mapped = np.sort(ends.min(axis=1) * g.n + ends.max(axis=1))
-        if not np.array_equal(mapped, keys):
+        if not _maps_edges_onto(image, edges, edges, g.n):
             return False
     return True
 
 
-def _moves(states, params):
-    """(x, y) int64 arrays: each state's position in ``states`` and its neighbors() ranks."""
-    counts = []
+def _move_table(states, params: HanoiParams) -> np.ndarray:
+    """(n, r + 2) int32: ``table[v, c]`` is the rank of state v after move c, -1 where illegal.
 
-    def entries(s):
-        row = neighbors(s, params)
-        counts.append(len(row))
-        return itertools.chain.from_iterable(row)
+    ``states`` lists the states as tuples in rank order.  Code c <= r is the
+    adjustment to c and r + 1 the involution.  Each legal (state, move) goes
+    through ``apply_move`` once, the calls neighbors() makes.
+    """
+    r1 = params.r + 1
+    width = np.min_scalar_type(r1)  # an unsigned type whose char is also an array typecode
+    codes, counts = array(width.char), array("q")
 
-    flat = np.fromiter(itertools.chain.from_iterable(map(entries, states)), dtype=np.int32)
-    x = np.repeat(np.arange(len(states), dtype=np.int64), counts)
-    return x, encode_states(flat.reshape(-1, params.k), params)
+    def images(s):
+        moves = legal_moves(s, params)
+        codes.extend([r1 if m is INVOLUTE else m.value for m in moves])
+        counts.append(len(moves))
+        return itertools.chain.from_iterable([apply_move(s, m, params) for m in moves])
+
+    flat = np.fromiter(itertools.chain.from_iterable(map(images, states)), dtype=np.int32)
+    ranks = encode_states(flat.reshape(-1, params.k), params)
+    del flat
+    cells = np.repeat(np.arange(0, len(states) * (r1 + 1), r1 + 1), counts)
+    cells += np.frombuffer(codes, dtype=width)
+    table = np.full((len(states), r1 + 1), -1, dtype=np.int32)
+    table.reshape(-1)[cells] = ranks
+    return table
 
 
-def _self_inverse(states, params) -> bool:
-    """True when the involution, applied twice, gives back every state; an illegal one fixes it."""
-    images = []
-    for s in states:
-        try:
-            images.append(apply_move(s, INVOLUTE, params))
-        except IllegalInvolute:
-            images.append(s)
-    inv = encode_states(np.array(images), params)
-    return np.array_equal(inv[inv], np.arange(len(states)))
+def _is_symmetric(ends: np.ndarray) -> bool:
+    """True when row w of ``ends`` lists v whenever row v lists w.
 
-
-def _is_symmetric(x: np.ndarray, y: np.ndarray, n: int) -> bool:
-    """True when (y, x) is a pair whenever (x, y) is, for int64 arrays over vertices 0..n-1."""
-    # Compared as sets: a repeated pair lists the same neighbour.
-    return np.array_equal(_sorted_unique(x * n + y), _sorted_unique(y * n + x))
+    ``ends`` is a move table with each row sorted, -1 where no move leads.
+    Rows are compared as sets: a repeated entry lists the same neighbour.
+    """
+    repeated = np.zeros(ends.shape, dtype=bool)
+    np.equal(ends[:, 1:], ends[:, :-1], out=repeated[:, 1:])
+    keep = (ends >= 0) & ~repeated
+    x = np.repeat(np.arange(len(ends), dtype=ends.dtype), keep.sum(axis=1))
+    y = ends[keep]
+    # The pairs (x, y) come sorted; a stable sort on y sorts the pairs (y, x) alike.
+    order = np.argsort(y, kind="stable")
+    return np.array_equal(y[order], x) and np.array_equal(x[order], y)
 
 
 def run_verify_suite(
@@ -170,8 +180,8 @@ def run_verify_suite(
     results: list[CheckResult] = []
     proper = HanoiParams(r, k, proper=True)
     improper = HanoiParams(r, k, proper=False)
-    states_p = enumerate_states(proper, cap)
-    states_i = enumerate_states(improper, cap)
+    states_p = state_matrix(proper, cap)
+    states_i = state_matrix(improper, cap)
 
     # State counts against the closed forms.
     ok = len(states_p) == r**k and len(states_i) == (r + 1) * r ** (k - 1)
@@ -184,26 +194,38 @@ def run_verify_suite(
         )
     )
 
-    # Explicit builder against the move-level definition, both modes, and
-    # adjacency symmetry at the move level, from one neighbors() call per state.
+    # Explicit builder against the move-level definition, both modes, adjacency
+    # symmetry and the involution, all read from one move table per mode.
     graphs = {}
-    sym = True
+    sym = involutive = True
     for label, params, states in (
         ("proper", proper, states_p),
         ("improper", improper, states_i),
     ):
         g = build_explicit(params, cap)
         graphs[label] = g
-        x, y = _moves(states, params)
-        sym = sym and _is_symmetric(x, y, len(states))
-        # The key arrays are temporaries: at (256, 2) each one is 134 MB.
-        same = g.n == len(states) and np.array_equal(
-            np.sort(x * g.n + y), np.repeat(np.arange(g.n) * g.n, g.degrees()) + g.indices
+        listed = list(map(tuple, states.tolist()))
+        table = _move_table(listed, params)
+        n = len(listed)
+        ends = np.sort(table, axis=1)
+        legal = ends >= 0
+        same = (
+            g.n == n
+            and np.array_equal(legal.sum(axis=1), g.degrees())
+            and np.array_equal(ends[legal], g.indices)
         )
-        del x, y
+        del legal
+        sym = sym and _is_symmetric(ends)
+        del ends
+        # An illegal involution counts as a fixed point.
+        inv = np.where(table[:, -1] < 0, np.arange(n), table[:, -1])
+        involutive = involutive and np.array_equal(inv[inv], np.arange(n))
         results.append(
             CheckResult(f"builder matches moves ({label})", same, f"n={g.n} m={g.m}")
         )
+        if params.proper:
+            listed_p, table_p = listed, table
+        del table
     results.append(CheckResult("adjacency symmetry", sym))
 
     # Degree regularity in improper mode (k = 1 improper is K_{r+1}, also r-regular).
@@ -218,8 +240,7 @@ def run_verify_suite(
 
     # Involution self-inverse.
     if k >= 2:
-        ok = _self_inverse(states_i, improper) and _self_inverse(states_p, proper)
-        results.append(CheckResult("involution self-inverse", ok))
+        results.append(CheckResult("involution self-inverse", involutive))
     else:
         results.append(
             CheckResult("involution self-inverse", True, "no involutions at k=1", skipped=True)
@@ -230,8 +251,7 @@ def run_verify_suite(
     target = 2**k - 1
 
     if n >= 2:
-        states = state_matrix(proper, cap)
-        ok = _relabelings_preserve_edges(gp, proper, states)
+        ok = _relabelings_preserve_edges(gp, proper, states_p)
         results.append(
             CheckResult(
                 "value relabeling is an automorphism",
@@ -240,7 +260,7 @@ def run_verify_suite(
             )
         )
 
-        sources, pair_a, pair_b, distinct = _pair_orbits(states)
+        sources, pair_a, pair_b, distinct = _pair_orbits(states_p)
         # Distances from the state-orbit representatives, gathered per pair
         # representative; the rows themselves are dropped chunk by chunk.
         pair_dist = np.empty(pair_a.size, dtype=np.int32)
@@ -266,32 +286,31 @@ def run_verify_suite(
         ok = covered == total_pairs
         if not ok:
             scope += f"; orbits cover {covered} of {total_pairs} pairs"
-        lengths = np.zeros(picked.size, dtype=np.int64)
+        lengths = np.full(pair_a.size, -1, dtype=np.int32)  # -1 until solved
 
-        def walks():
-            for i, p in enumerate(picked):
-                moves = solve(states_p[first[p]], states_p[pair_b[p]], proper).moves
-                lengths[i] = len(moves)
-                yield first[p], pair_b[p], moves
+        def solved(p):
+            moves = solve(listed_p[first[p]], listed_p[pair_b[p]], proper).moves
+            lengths[p] = len(moves)
+            return moves
 
-        replayed = _replay_walks(walks(), states, proper)
+        walks = ((first[p], pair_b[p], solved(p)) for p in picked)
+        replayed = _replay_walks(walks, table_p, states_p[:, 0], proper)
         ok = ok and replayed and bool(
-            (lengths <= target).all() and (lengths >= pair_dist[picked]).all()
+            (lengths[picked] <= target).all() and (lengths[picked] >= pair_dist[picked]).all()
         )
-        del lengths  # freed before the disjoint-support arrays: 1 MB at (2, 9)
         results.append(CheckResult("solver vs BFS bounds", ok, scope))
 
         # Disjoint support forces distance exactly 2^k - 1, and the solver meets it.
-        seconds = states[pair_b]
+        # Only representatives the solver row left out are solved again.
+        seconds = states_p[pair_b]
         shared = np.zeros(pair_a.size, dtype=bool)
         for j in range(k):
-            shared |= (seconds == states[first, j][:, None]).any(axis=1)
+            shared |= (seconds == states_p[first, j][:, None]).any(axis=1)
         disjoint = np.flatnonzero(~shared)
+        for p in disjoint[lengths[disjoint] < 0].tolist():
+            solved(p)
         exact_bfs = bool((pair_dist[disjoint] == target).all())
-        exact_solver = all(
-            len(solve(states_p[first[p]], states_p[pair_b[p]], proper)) == target
-            for p in disjoint
-        )
+        exact_solver = bool((lengths[disjoint] == target).all())
         results.append(
             CheckResult(
                 "disjoint-support exactness",

@@ -29,7 +29,7 @@ from dug import (
     state_index,
 )
 
-from dug.graph import _canonical_edges, _edge_lines, _parse_lines
+from dug.graph import _canonical_edges, _edge_lines, _maps_edges_onto, _parse_lines
 
 from conftest import move_adjacency, traced_peak
 
@@ -785,3 +785,19 @@ class TestBlowUp:
         b = blow_up(complete_graph(3), 6)
         dist = bfs_distances(b, 0)
         assert dist[1] == 2  # other copy of vertex 0
+
+
+def test_maps_edges_onto():
+    # A path 0 - 1 - 2 plus the isolated vertex 3.
+    g = ExplicitGraph.from_edges(4, [(0, 1), (1, 2)])
+    want = g.edge_array()
+    for image, edges, n, ok in (
+        ([0, 1, 2, 3], want, 4, True),
+        ([2, 1, 0, 3], want, 4, True),  # the path reversed
+        ([2, 1, 0, 3], [[2, 1], [0, 1]], 4, True),  # any order and orientation
+        ([1, 0, 2, 3], want, 4, False),  # (1, 2) goes to (0, 2)
+        ([0, 1, 2, 2], want, 4, False),  # the edges land, but 3 is no one's image
+        ([0, 1, 2], want, 4, False),
+        ([0, 1, 2, 3], want[:1], 4, False),  # onto, not just into
+    ):
+        assert _maps_edges_onto(np.array(image), np.array(edges), want, n) is ok

@@ -28,13 +28,14 @@ from dug import (
     solve,
 )
 from dug.cli import cli_dispatch
-from dug.hanoi import apply_move, state_matrix
+from dug.hanoi import apply_move, state_index, state_matrix
 from dug.solver import _construct, _replay_walks
 from dug.verification import (
     CheckResult,
     _pair_orbits,
     _pairs_covered,
     _is_symmetric,
+    _move_table,
     _relabelings_preserve_edges,
     run_verify_suite,
 )
@@ -193,29 +194,90 @@ def test_broken_automorphism_is_caught():
 
 
 def test_is_symmetric():
-    # (x, y, n, symmetric): the pairs x -> y over vertices 0..n-1.
+    # (x, y, n, symmetric): the pairs x -> y over vertices 0..n-1, as sorted
+    # table rows padded with -1.
     for x, y, n, want in (
         ([0, 0, 1, 2], [1, 2, 0, 0], 3, True),
         ([0, 0, 1], [1, 1, 0], 2, True),  # a repeated pair lists the same neighbour
         ([], [], 1, True),
         ([0], [1], 2, False),
         ([0, 0, 1, 1, 2], [1, 2, 0, 2, 1], 3, False),
+        ([1, 0, 0, 2], [0, 2, 1, 1], 3, False),  # 2 -> 1 has no way back
+        ([0, 1, 2], [1, 2, 0], 3, False),  # a directed cycle: in- and out-degrees agree
     ):
-        assert _is_symmetric(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), n) is want
+        ends = np.full((n, len(x) + 1), -1, dtype=np.int32)
+        for i, (u, v) in enumerate(zip(x, y)):
+            ends[u, i] = v
+        assert _is_symmetric(np.sort(ends, axis=1)) is want
 
 
-def test_neighbors_called_once_per_state(monkeypatch):
-    real = dug.verification.neighbors
+# r <= 6, k <= 5 and r^k <= 256 (r = 1 only up to k = 3): k = 1, proper first
+# entries, involutions a proper state refuses and long alternating tails.
+TABLE_GRID = [(r, k) for r in range(1, 7) for k in range(1, 6)
+              if r**k <= 256 and (r > 1 or k <= 3)]
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+@pytest.mark.parametrize("r,k", TABLE_GRID, ids=[f"r{r}k{k}" for r, k in TABLE_GRID])
+def test_move_table_matches_the_move_rules(r, k, proper):
+    params = HanoiParams(r, k, proper=proper)
+    states = enumerate_states(params)
+    table = _move_table(states, params)
+    assert table.shape == (len(states), r + 2) and table.dtype == np.int32
+    for v, s in enumerate(states):
+        want = {r + 1 if m is INVOLUTE else m.value: state_index(apply_move(s, m, params), params)
+                for m in legal_moves(s, params)}
+        got = {c: int(w) for c, w in enumerate(table[v]) if w >= 0}
+        assert got == want, s
+    assert (table >= -1).all()
+
+
+def test_apply_move_called_once_per_legal_move(monkeypatch):
+    """(4, 4): 2 300 calls, one per legal (state, move) of the proper and improper graphs."""
+    real = dug.verification.apply_move
     calls = Counter()
 
-    def spy(x, params):
-        calls[params.proper] += 1
-        return real(x, params)
+    def spy(x, move, params):
+        calls[x, move, params.proper] += 1
+        return real(x, move, params)
 
-    monkeypatch.setattr(dug.verification, "neighbors", spy)
-    r, k = 4, 3
+    monkeypatch.setattr(dug.verification, "apply_move", spy)
+    r, k = 4, 4
     assert all(c.ok for c in run_verify_suite(r, k))
-    assert calls == {True: r**k, False: (r + 1) * r ** (k - 1)}
+    m_proper = build_explicit(HanoiParams(r, k, proper=True)).m
+    m_improper = build_explicit(HanoiParams(r, k)).m
+    assert set(calls.values()) == {1}
+    assert len(calls) == 2 * m_proper + 2 * m_improper == 2300
+    for proper in (True, False):
+        params = HanoiParams(r, k, proper=proper)
+        assert {(x, m) for x, m, p in calls if p is proper} == {
+            (x, m) for x in enumerate_states(params) for m in legal_moves(x, params)}
+
+
+def test_solver_row_lengths_serve_the_disjoint_row(monkeypatch):
+    """Unsampled, each orbit representative is solved once; sampled, the disjoint ones left out once more."""
+    real = dug.verification.solve
+    calls = Counter()
+
+    def spy(a, b, params):
+        calls[a, b] += 1
+        return real(a, b, params)
+
+    monkeypatch.setattr(dug.verification, "solve", spy)
+    proper = HanoiParams(4, 3, proper=True)
+    states = state_matrix(proper)
+    sources, pair_a, pair_b, _ = _pair_orbits(states)
+    reps = [(tuple(states[a].tolist()), tuple(states[b].tolist()))
+            for a, b in zip(sources[pair_a], pair_b)]
+    assert all(c.ok for c in run_verify_suite(4, 3))
+    assert calls == Counter(reps)
+
+    calls.clear()
+    assert all(c.ok for c in run_verify_suite(4, 3, pair_limit=10))
+    sample = {reps[i] for i in np.linspace(0, len(reps) - 1, 10).astype(np.int64)}
+    disjoint = {(a, b) for a, b in reps if not set(a) & set(b)}
+    assert len(sample) == 10 and len(disjoint - sample) > 0
+    assert calls == Counter(sample | disjoint)
 
 
 def test_builder_fault_fails_the_builder_and_truncation_rows(monkeypatch):
@@ -242,13 +304,19 @@ def test_builder_fault_fails_the_builder_and_truncation_rows(monkeypatch):
 
 
 def test_one_way_move_fails_adjacency_symmetry(monkeypatch):
-    real = dug.verification.neighbors
+    # Proper (1, 2) gains an adjustment to 1 that leads to (3, 1), which has no move back.
+    real_legal, real_apply = dug.verification.legal_moves, dug.verification.apply_move
 
-    def one_way(x, params):
-        # Proper (1, 2) gains the move to (3, 1), which (3, 1) does not have back.
-        return real(x, params) + ([(3, 1)] if x == (1, 2) and params.proper else [])
+    def legal(x, params):
+        return real_legal(x, params) + ([Adjust(1)] if x == (1, 2) and params.proper else [])
 
-    monkeypatch.setattr(dug.verification, "neighbors", one_way)
+    def one_way(x, move, params):
+        if x == (1, 2) and move == Adjust(1):
+            return (3, 1)
+        return real_apply(x, move, params)
+
+    monkeypatch.setattr(dug.verification, "legal_moves", legal)
+    monkeypatch.setattr(dug.verification, "apply_move", one_way)
     rows = {c.name: c for c in run_verify_suite(3, 2)}
     assert not rows["adjacency symmetry"].ok
     assert not rows["builder matches moves (proper)"].ok
@@ -268,6 +336,39 @@ def test_builder_with_an_extra_vertex_fails_its_row(monkeypatch):
     assert rows["builder matches moves (proper)"].ok
 
 
+def _split_later(g):
+    """The same CSR entries, with the first row taking the second row's first entry."""
+    indptr = g.indptr.copy()
+    indptr[1] += 1
+    return ExplicitGraph(g.n, indptr, g.indices, g.labels)
+
+
+def _switch(g):
+    """Edges (a, b), (c, d) replaced by (a, d), (c, b): every degree and entry count kept."""
+    edges = g.edge_array().tolist()
+    (a, b), rest = edges[0], edges[1:]
+    i, (c, d) = next((i, (c, d)) for i, (c, d) in enumerate(rest)
+                     if len({a, b, c, d}) == 4
+                     and d not in g.neighbors_of(a) and b not in g.neighbors_of(c))
+    rest[i] = (c, b)
+    return ExplicitGraph.from_edges(g.n, [(a, d), *rest], g.labels)
+
+
+@pytest.mark.parametrize("fault", [_split_later, _switch], ids=["split", "switch"])
+def test_builder_rows_with_the_same_entries_fail_their_row(monkeypatch, fault):
+    """The builder row compares row by row: the right entries in the wrong rows fail it."""
+    real = dug.verification.build_explicit
+
+    def faulty(params, cap):
+        g = real(params, cap)
+        return g if params.proper else fault(g)
+
+    monkeypatch.setattr(dug.verification, "build_explicit", faulty)
+    rows = {c.name: c for c in run_verify_suite(3, 3)}
+    assert not rows["builder matches moves (improper)"].ok
+    assert rows["builder matches moves (proper)"].ok
+
+
 def test_broken_involution_fails_its_row(monkeypatch):
     real = dug.verification.apply_move
 
@@ -277,7 +378,14 @@ def test_broken_involution_fails_its_row(monkeypatch):
 
     monkeypatch.setattr(dug.verification, "apply_move", broken)
     failed = [c.name for c in run_verify_suite(3, 2) if not c.ok]
-    assert failed == ["involution self-inverse"]
+    # Every row that reads the move table reads the broken transition.
+    assert failed == [
+        "builder matches moves (proper)",
+        "builder matches moves (improper)",
+        "adjacency symmetry",
+        "involution self-inverse",
+        "solver vs BFS bounds",
+    ]
 
 
 def test_broken_solver_fails_pair_rows(monkeypatch):
@@ -334,32 +442,41 @@ def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
     assert out.endswith("14/15 checks passed\n")
 
 
-def test_replay_applies_each_transition_once(monkeypatch):
-    """The 2 795 paths of (4, 4) make 27 060 moves over 331 distinct (state, move) pairs."""
-    real = dug.solver.apply_move
-    calls = []
+def _representative_walks(params):
+    """State matrix, move table and one solver walk per pair-orbit representative."""
+    states = state_matrix(params)
+    listed = enumerate_states(params)
+    sources, pair_a, pair_b, _ = _pair_orbits(states)
+    walks = [(a, b, solve(listed[a], listed[b], params).moves)
+             for a, b in zip(sources[pair_a], pair_b)]
+    return states, _move_table(listed, params), walks
 
-    def spy(x, move, params):
-        calls.append((x, move))
-        return real(x, move, params)
 
-    monkeypatch.setattr(dug.solver, "apply_move", spy)
-    assert all(c.ok for c in run_verify_suite(4, 4))
-    assert len(calls) == len(set(calls)) == 331
+def test_replay_calls_no_move_function(monkeypatch):
+    """The 2 795 paths of (4, 4), 27 060 moves, replay through the move table alone."""
+    proper = HanoiParams(4, 4, proper=True)
+    states, table, walks = _representative_walks(proper)
+    assert (len(walks), sum(len(w[2]) for w in walks)) == (2795, 27060)
+
+    def refused(*args):
+        raise AssertionError("the replay applied a move")
+
+    for module in (dug.hanoi, dug.solver, dug.verification):
+        for name in ("apply_move", "legal_moves", "neighbors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert _replay_walks(iter(walks), table, states[:, 0], proper)
 
 
 def test_replay_memory_is_bounded_by_the_block(monkeypatch):
     proper = HanoiParams(2, 7, proper=True)
-    states = state_matrix(proper)
-    listed = enumerate_states(proper)
-    sources, pair_a, pair_b, _ = _pair_orbits(states)
-    walks = [(a, b, solve(listed[a], listed[b], proper).moves)
-             for a, b in zip(sources[pair_a], pair_b)]
+    states, table, walks = _representative_walks(proper)
+    first = states[:, 0]
     quarter = walks[:len(walks) // 4]
     block = 4096
     monkeypatch.setattr(dug.solver, "_BLOCK_MOVES", block)
-    assert _replay_walks(iter(quarter), states, proper)
-    peaks = [traced_peak(lambda part=part: _replay_walks(iter(part), states, proper))
+    assert _replay_walks(iter(quarter), table, first, proper)
+    peaks = [traced_peak(lambda part=part: _replay_walks(iter(part), table, first, proper))
              for part in (quarter, walks)]
     moves = sum(len(w[2]) for w in walks)
     # 349 504 moves: one 8-byte code each would be 2.8 MB.

@@ -23,6 +23,7 @@ from .hanoi import (
     HanoiParams,
     TooLarge,
     _first_appearance,
+    _move_ranks,
     _sorted_unique,
     encode_states,
     state_matrix,
@@ -198,9 +199,10 @@ class ExplicitGraph:
 def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> ExplicitGraph:
     """Explicit Hanoi state graph: vertices in lexicographic state order, labeled by state text.
 
-    The cap bounds both the state count and the edge count.  Adjacency is
-    computed arithmetically on lexicographic ranks (see hanoi.state_index);
-    the verify suite checks this against the move rules, applied state by state.
+    The cap bounds both the state count and the edge count.  Row v of the CSR
+    adjacency is row v of hanoi._move_ranks, each move's target computed on
+    ranks, sorted and without the -1 of illegal moves; the verify suite
+    checks it against the move rules, applied state by state.
 
     Renaming the values 1..r (0 fixed) of proper states, or 0..r of all
     states, is an automorphism of the graph (Hinz et al., *The Tower of Hanoi
@@ -210,54 +212,17 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     """
     n = params.state_count()
     S = state_matrix(params, cap)
-    r, k = params.r, params.k
-
-    if k == 1:
-        # Complete graph: every adjustment is legal.
-        if n * (n - 1) // 2 > cap:
-            raise TooLarge(f"{n * (n - 1) // 2} edges exceed the cap of {cap}")
-        iu, iv = np.triu_indices(n, k=1)
-        edge_arr = np.column_stack([iu, iv])
-    else:
-        if n * r // 2 > cap:
-            raise TooLarge(f"about {n * r // 2} edges exceed the cap of {cap}")
-        idx = np.arange(n, dtype=np.int64)
-        last = S[:, -1]
-        prev = S[:, -2]
-        last_digit = (last - (last > prev)).astype(np.int64)
-        base = idx - last_digit
-        parts = []
-        # Adjustments: same prefix, different last digit.
-        for t in range(r):
-            mask = last_digit != t
-            u = idx[mask]
-            v = base[mask] + t
-            keep = u < v
-            parts.append(np.column_stack([u[keep], v[keep]]))
-        # Involutions: swap the last two values on the alternating tail segment.
-        seg = np.zeros((n, k), dtype=bool)
-        seg[:, -1] = True
-        seg[:, -2] = True
-        reach = np.ones(n, dtype=bool)
-        for col in range(k - 3, -1, -1):
-            reach = reach & ((S[:, col] == last) | (S[:, col] == prev))
-            seg[:, col] = reach
-        swapped = np.where(
-            seg & (S == last[:, None]),
-            prev[:, None],
-            np.where(seg & (S == prev[:, None]), last[:, None], S),
-        )
-        ok = np.ones(n, dtype=bool)
-        if params.proper:
-            ok = ~(seg[:, 0] & (swapped[:, 0] == 0))
-        u = idx[ok]
-        v = encode_states(swapped[ok], params)
-        keep = u < v
-        parts.append(np.column_stack([u[keep], v[keep]]))
-        edge_arr = np.concatenate(parts)
-
+    edges = n * (n - 1) // 2 if params.k == 1 else n * params.r // 2  # K_n at k = 1
+    if edges > cap:
+        raise TooLarge(f"{'about ' if params.k > 1 else ''}{edges} edges exceed the cap of {cap}")
+    table = _move_ranks(S, params)
+    table.sort(axis=1)  # the illegal moves' -1 first
+    legal = table >= 0
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(legal.sum(axis=1))])
+    indices = table[legal]
+    del table, legal
     labels = tuple(",".join(map(str, row)) for row in S.tolist())
-    g = ExplicitGraph.from_edges(n, edge_arr, labels)
+    g = ExplicitGraph(n, indptr, indices, labels)
     canonical, _ = _first_appearance(S, 0 if params.proper else -1)
     g.classes = encode_states(canonical, params)
     g.classes.setflags(write=False)

@@ -234,8 +234,9 @@ def parse_state(text: str) -> State:
 # r+1 (improper) choices, every later entry has r choices (anything except its
 # predecessor, in ascending value order).  digit_1 = x_1 - 1 (proper) or x_1;
 # digit_i = x_i - [x_i > x_{i-1}] for i >= 2.  The rank in enumerate_states
-# order is the big-endian value of the digit string, which is what the
-# explicit-graph builder uses to turn neighbor states into vertex ids.
+# order is the big-endian value of the digit string.  With x_0 = 0 (proper)
+# or r + 1 (improper) put before x_1, digit_1 follows the rule of the others:
+# the vectorized code, the builder's move table included, uses that one rule.
 # ---------------------------------------------------------------------------
 
 
@@ -255,17 +256,11 @@ def state_matrix(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> np.ndarra
     if n > cap:
         raise TooLarge(f"{n} states exceed the cap of {cap}")
     r, k = params.r, params.k
-    rank = np.arange(n, dtype=np.int64)
+    rem = np.arange(n, dtype=np.int64)
     out = np.empty((n, k), dtype=np.int32)
-    rest = r ** (k - 1)
-    first_digit = rank // rest
-    out[:, 0] = first_digit + 1 if params.proper else first_digit
-    rem = rank % rest
-    prev = out[:, 0]
-    for i in range(1, k):
-        weight = r ** (k - 1 - i)
-        digit = rem // weight
-        rem = rem % weight
+    prev = 0 if params.proper else r + 1  # x_0
+    for i in range(k):
+        digit, rem = np.divmod(rem, r ** (k - 1 - i))
         out[:, i] = digit + (digit >= prev)
         prev = out[:, i]
     return out
@@ -311,9 +306,51 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def encode_states(matrix: np.ndarray, params: HanoiParams) -> np.ndarray:
     """Vectorized :func:`state_index` over the rows of an (n, k) state matrix."""
-    r = params.r
-    idx = (matrix[:, 0].astype(np.int64) - 1) if params.proper else matrix[:, 0].astype(np.int64)
-    for i in range(1, matrix.shape[1]):
-        digit = matrix[:, i] - (matrix[:, i] > matrix[:, i - 1])
-        idx = idx * r + digit
-    return idx
+    return _rank_columns(matrix.T, params)
+
+
+def _rank_columns(columns, params: HanoiParams) -> np.ndarray:
+    """int64 ranks of the states whose entries ``columns`` yields a position at a time."""
+    rank = np.zeros(1, dtype=np.int64)  # broadcast over the rows, int64 under any promotion rule
+    prev = 0 if params.proper else params.r + 1  # x_0
+    for col in columns:
+        rank = rank * params.r + (col - (col > prev))
+        prev = col
+    return rank
+
+
+def _move_ranks(states: np.ndarray, params: HanoiParams) -> np.ndarray:
+    """(n, r + 2) int32: ``table[v, c]`` is the rank of state v after move c, -1 where illegal.
+
+    ``states`` is a :func:`state_matrix`; code c <= r is the adjustment to c and
+    r + 1 the involution, as in the verify suite's table, which applies
+    :func:`apply_move` state by state where this one computes on ranks.
+    """
+    (n, k), r = states.shape, params.r
+    last = states[:, -1]
+    # At k = 1, x_0 stands in for the entry before the last: it forbids the
+    # adjustment to 0 of a proper state, and r + 1 forbids none.
+    prev = states[:, -2] if k > 1 else np.full(n, 0 if params.proper else r + 1, states.dtype)
+    table = np.empty((n, r + 2), dtype=np.int32)
+    # An adjustment to c keeps the prefix and makes the last digit c - [c > prev].
+    targets = np.arange(r + 1, dtype=np.int32)
+    np.add((np.arange(n, dtype=np.int32) - (last - (last > prev)))[:, None], targets,
+           out=table[:, :-1])
+    table[:, :-1] -= targets > prev[:, None]
+    rows = np.arange(n)
+    table[rows, last] = table[rows, prev] = table[:, -1] = -1
+    if k == 1:
+        return table
+    # The involution swaps last and prev from position `start` on, the longest
+    # tail whose entries are all one of the two.
+    start = np.full(n, k - 2)
+    inside = np.ones(n, dtype=bool)
+    for col in range(k - 3, -1, -1):
+        inside &= (states[:, col] == last) | (states[:, col] == prev)
+        start -= inside
+    pair = last + prev
+    table[:, -1] = _rank_columns(
+        (np.where(start <= i, pair - col, col) for i, col in enumerate(states.T)), params)
+    if params.proper:  # no involution may zero the first entry
+        table[(start == 0) & (states[:, 0] == pair), -1] = -1
+    return table

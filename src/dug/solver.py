@@ -54,8 +54,8 @@ def _alternating(first: int, second: int, length: int) -> State:
     return tuple(first if i % 2 == 0 else second for i in range(length))
 
 
-# Bounded so that a long-lived caller of solve does not grow without limit;
-# an exhaustive verify at (4, 4) needs 3 998 entries.
+# Bounded so that a long-lived caller does not grow it without limit.  solve
+# keeps no top-level pair: an exhaustive verify at (4, 4) needs 1 203 entries.
 @lru_cache(maxsize=1 << 16)
 def _construct(a: State, b: State) -> tuple[Move, ...]:
     # Recursion from the 2^k - 1 upper-bound proof.  Moves carry no positions,
@@ -85,7 +85,7 @@ def solve(a, b, params: HanoiParams) -> MovePath:
     """
     start = make_state(a, params)
     goal = make_state(b, params)
-    return MovePath(start=start, moves=_construct(start, goal))
+    return MovePath(start=start, moves=_construct.__wrapped__(start, goal))
 
 
 def verify_path(path: MovePath, params: HanoiParams) -> State:

@@ -64,16 +64,10 @@ class LabeledGraph:
         return len(self.states[0])
 
 
-def base_simplex(r: int) -> LabeledGraph:
-    """K_{r+1} with vertex i labeled by the length-1 state (i)."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    iu, iv = np.triu_indices(r + 1, k=1)
-    states = tuple((i,) for i in range(r + 1))
-    graph = ExplicitGraph.from_edges(
-        r + 1, np.column_stack([iu, iv]), [format_state(s) for s in states]
-    )
-    return LabeledGraph(graph=graph, states=states, r=r)
+def base_simplex(r: int, cap: int = DEFAULT_STATE_CAP) -> LabeledGraph:
+    """K_{r+1} with vertex i labeled by the length-1 state (i): the Hanoi graph at k = 1."""
+    graph = build_explicit(HanoiParams(r, 1), cap)
+    return LabeledGraph(graph=graph, states=tuple((i,) for i in range(r + 1)), r=r)
 
 
 def truncate_once(t: LabeledGraph) -> LabeledGraph:
@@ -100,13 +94,15 @@ def truncate_once(t: LabeledGraph) -> LabeledGraph:
 
 
 def iterate_truncation(r: int, k: int, cap: int = DEFAULT_STATE_CAP) -> LabeledGraph:
-    """k-1 truncations of K_{r+1}: (r+1) * r^(k-1) vertices labeled by all length-k states."""
+    """k-1 truncations of K_{r+1}: (r+1) * r^(k-1) vertices of degree r, one per length-k state."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     count = (r + 1) * r ** (k - 1)
     if count > cap:
         raise TooLarge(f"{count} vertices exceed the cap of {cap}")
-    t = base_simplex(r)
+    if count * r // 2 > cap:
+        raise TooLarge(f"{count * r // 2} edges exceed the cap of {cap}")
+    t = base_simplex(r, cap)
     for _ in range(k - 1):
         t = truncate_once(t)
     return t

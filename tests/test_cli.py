@@ -267,6 +267,16 @@ def test_header_past_the_vertex_cap_exits_2(tmp_path, capsys, n, command):
     assert not out.exists()
 
 
+def test_truncate_edge_cap_exits_2(tmp_path, capsys):
+    # 72 vertices fit the cap of 2^7 = 128, their 288 edges do not
+    out = tmp_path / "t.dug"
+    code, stdout, stderr = run(capsys, "truncate", "--r", "8", "--k", "2", "--cap", "7",
+                               "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr == "error: 288 edges exceed the cap of 128\n"
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert cli_dispatch(["generate", "--r", "4"]) == 2
     capsys.readouterr()

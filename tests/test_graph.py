@@ -202,6 +202,14 @@ class TestBuildExplicit:
         with pytest.raises(TooLarge):
             build_explicit(HanoiParams(4, 2), cap=10)
 
+    @pytest.mark.parametrize("r,k", [(64, 2), (1024, 1)])
+    def test_memory_per_edge(self, r, k):
+        # the move table, its legal mask and the CSR indices: about 18 B per edge
+        p = HanoiParams(r, k, proper=True)
+        built = []
+        peak = traced_peak(lambda: built.append(build_explicit(p)))
+        assert peak <= 32 * built[0].m
+
     def test_only_built_graphs_carry_a_class_index(self, tmp_path):
         g = build_explicit(HanoiParams(4, 3, proper=True))
         # the canonical states 1,0,1 1,0,2 1,2,0 1,2,1 1,2,3 are vertices 0, 1, 4, 5, 6
@@ -215,6 +223,8 @@ class TestBuildExplicit:
         # copy counts differ between vertices: relabeling is no automorphism of a blow-up
         assert blow_up(g, g.n + 1).classes is None
         assert iterate_truncation(4, 3).graph.classes is None
+        # K_{r+1} is the Hanoi graph at k = 1: one orbit under every relabeling
+        assert iterate_truncation(4, 1).graph.classes.tolist() == [0] * 5
 
 
 class TestBFS:

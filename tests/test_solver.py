@@ -187,8 +187,8 @@ def test_construct_commutes_with_relabeling(case):
 
 def test_construct_cache_is_bounded():
     limit = _construct.cache_info().maxsize
-    # an exhaustive verify at (4, 4) needs 3 998 entries
-    assert limit is not None and limit >= 3998
+    # an exhaustive verify at (4, 4) needs 1 203 entries
+    assert limit is not None and limit >= 1203
     _construct.cache_clear()
     try:
         for x in range(1, 300):
@@ -196,5 +196,19 @@ def test_construct_cache_is_bounded():
                 if y != x:
                     _construct((1, 0), (x, y))
         assert _construct.cache_info().currsize == limit
+    finally:
+        _construct.cache_clear()
+
+
+def test_solve_caches_only_the_sub_paths():
+    a, b = (1, 2, 3, 4), (4, 3, 2, 1)
+    _construct.cache_clear()
+    try:
+        path = solve(a, b, HanoiParams(4, 4, proper=True))
+        assert _construct.cache_info().currsize > 0
+        # the top-level pair is not kept: asking for it again misses
+        misses = _construct.cache_info().misses
+        assert _construct(a, b) == path.moves
+        assert _construct.cache_info().misses == misses + 1
     finally:
         _construct.cache_clear()

@@ -151,6 +151,14 @@ class TestIterate:
         with pytest.raises(TooLarge):
             iterate_truncation(6, 4, cap=100)
 
+    def test_edge_cap(self):
+        # 72 vertices are within the cap, their 288 edges are not
+        with pytest.raises(TooLarge, match="^288 edges exceed the cap of 100$"):
+            iterate_truncation(8, 2, cap=100)
+        with pytest.raises(TooLarge, match="^288 edges exceed the cap of 287$"):
+            iterate_truncation(8, 2, cap=287)
+        assert iterate_truncation(8, 2, cap=288).graph.m == 288
+
 
 class TestIsomorphism:
     @pytest.mark.parametrize("r,k", [(1, 3), (2, 2), (3, 2), (4, 3), (5, 3), (6, 4)])

@@ -28,7 +28,7 @@ from dug import (
     solve,
 )
 from dug.cli import cli_dispatch
-from dug.hanoi import apply_move, state_index, state_matrix
+from dug.hanoi import _move_ranks, apply_move, state_index, state_matrix
 from dug.solver import _construct, _replay_walks
 from dug.verification import (
     CheckResult,
@@ -232,6 +232,18 @@ def test_move_table_matches_the_move_rules(r, k, proper):
     assert (table >= -1).all()
 
 
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+@pytest.mark.parametrize("r,k", TABLE_GRID, ids=[f"r{r}k{k}" for r, k in TABLE_GRID])
+def test_rank_arithmetic_fills_the_same_move_table(r, k, proper):
+    """The builder's vectorized table equals the one applying each move, cell for cell."""
+    params = HanoiParams(r, k, proper=proper)
+    states = state_matrix(params)
+    got = _move_ranks(states, params)
+    want = _move_table(list(map(tuple, states.tolist())), params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_apply_move_called_once_per_legal_move(monkeypatch):
     """(4, 4): 2 300 calls, one per legal (state, move) of the proper and improper graphs."""
     real = dug.verification.apply_move
@@ -286,7 +298,8 @@ def test_builder_fault_fails_the_builder_and_truncation_rows(monkeypatch):
 
     def moved(params, cap=DEFAULT_STATE_CAP):
         g = real(params, cap)
-        if params.proper:
+        # K_4, the truncation's base, is the improper graph at k = 1 and has no edge to move.
+        if params.proper or params.k == 1:
             return g
         (u, v), *rest = g.edge_array().tolist()
         w = next(w for w in range(g.n) if w not in (u, v) and w not in g.neighbors_of(u))
@@ -490,13 +503,14 @@ def test_suite_builds_each_explicit_graph_once(monkeypatch):
     calls = Counter()
 
     def spy(params, cap=DEFAULT_STATE_CAP):
-        calls[params.proper] += 1
+        calls[params] += 1
         return real(params, cap)
 
     monkeypatch.setattr(dug.verification, "build_explicit", spy)
     monkeypatch.setattr(dug.truncation, "build_explicit", spy)
     assert all(c.ok for c in run_verify_suite(3, 3))
-    assert calls == {True: 1, False: 1}
+    # both (3, 3) graphs, and K_4 that the truncations start from
+    assert calls == {HanoiParams(3, 3, proper=True): 1, HanoiParams(3, 3): 1, HanoiParams(3, 1): 1}
 
 
 def test_solver_row_needs_every_orbit(monkeypatch):

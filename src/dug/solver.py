@@ -51,7 +51,7 @@ class MovePath:
 
 
 def _alternating(first: int, second: int, length: int) -> State:
-    return tuple(first if i % 2 == 0 else second for i in range(length))
+    return ((first, second) * ((length + 1) // 2))[:length]
 
 
 # Bounded so that a long-lived caller does not grow it without limit.  solve
@@ -85,7 +85,12 @@ def solve(a, b, params: HanoiParams) -> MovePath:
     """
     start = make_state(a, params)
     goal = make_state(b, params)
-    return MovePath(start=start, moves=_construct.__wrapped__(start, goal))
+    return MovePath(start=start, moves=_solve_moves(start, goal))
+
+
+def _solve_moves(a: State, b: State) -> tuple[Move, ...]:
+    """The moves of :func:`solve`'s path between two states the caller has validated."""
+    return _construct.__wrapped__(a, b)
 
 
 def verify_path(path: MovePath, params: HanoiParams) -> State:

@@ -12,12 +12,22 @@ Maths*, 2013).  So each check gives one verdict on a whole orbit of ordered
 state pairs, and the suite replays one representative per orbit: 2 795 for
 the 65 536 pairs of (4, 4).
 
-The move rules are applied once per legal (state, move), into one move table
-per mode that the builder, adjacency-symmetry and involution rows read: 2 300
-``apply_move`` calls at (4, 4).  The solver paths are replayed together over
-vertex ids through the proper table, with no ``apply_move`` call for their
-27 060 moves.  A move that breaks the rules fails the solver row; it is not
-an input error.
+The move rules are certified once per orbit of states.  Each mode's move
+table is the builder's rank arithmetic (``hanoi._move_ranks``).  The builder
+row passes when the CSR equals the table, when the table's rows for the
+canonical states equal ``apply_move`` applied to them, and when the table
+commutes with two value renamings that generate every renaming of the mode.
+The move rules commute with the same renamings, which a tier-1 test checks on
+random states, so the table equals the move rules on every state: 79
+``apply_move`` calls at (4, 4) where one per legal (state, move) made 2 300.
+A fault in ``apply_move`` that shows only on non-canonical states passes the
+suite and fails that test, the trade the solver row already makes.  The
+adjacency-symmetry row reads the same table's canonical rows, the involution
+row all of it, and the solver paths are replayed together over vertex ids
+through the proper one, with no ``apply_move`` call for their 27 060 moves.
+A move that breaks the rules fails the solver row; it is not an input error.
+The solver runs on states that the "state counts" row validated in bulk, so
+no call re-validates them.
 """
 
 from __future__ import annotations
@@ -38,8 +48,6 @@ from .analyze import (
     check_upper_bound,
 )
 from .graph import (
-    ExplicitGraph,
-    _maps_edges_onto,
     build_explicit,
     diameter,
     distance_histograms,
@@ -49,14 +57,16 @@ from .hanoi import (
     DEFAULT_STATE_CAP,
     INVOLUTE,
     HanoiParams,
+    TooLarge,
     _first_appearance,
+    _move_ranks,
     _sorted_unique,
     apply_move,
     encode_states,
     legal_moves,
     state_matrix,
 )
-from .solver import _replay_walks, solve
+from .solver import _replay_walks, _solve_moves
 from .truncation import _certify, iterate_truncation
 
 
@@ -68,7 +78,7 @@ class CheckResult:
     skipped: bool = False
 
 
-def _pair_orbits(states: np.ndarray):
+def _pair_orbits(states: np.ndarray, cap: int = DEFAULT_STATE_CAP):
     """One ordered pair per orbit of the value relabelings that fix 0.
 
     A pair (a, b) is its orbit's representative when the concatenation a + b
@@ -76,19 +86,22 @@ def _pair_orbits(states: np.ndarray):
     canonical states (``sources``, vertex ids) and, for the representatives
     sorted by (a, b), the position of a in ``sources``, the vertex b, and the
     number m of distinct nonzero values in a + b; the orbit holds perm(r, m)
-    pairs.
+    pairs.  Raises :class:`TooLarge` when there are more than ``cap``
+    representatives, counted from the class sizes before any is listed.
     """
     relabeled, used = _first_appearance(states, 0)
     sources = np.flatnonzero((relabeled == states).all(axis=1))
-    pair_a, pair_b, distinct = [], [], []
+    classes = []  # (a, b, m[b]) for each count w of values named by a
     for w in _sorted_unique(used[sources]):
         relabeled, m = _first_appearance(states, w)
         b = np.flatnonzero((relabeled == states).all(axis=1))
-        a = np.flatnonzero(used[sources] == w)
-        pair_a.append(np.repeat(a, b.size))
-        pair_b.append(np.tile(b, a.size))
-        distinct.append(np.tile(m[b], a.size))
-    pair_a, pair_b, distinct = (np.concatenate(x) for x in (pair_a, pair_b, distinct))
+        classes.append((np.flatnonzero(used[sources] == w), b, m[b]))
+    count = sum(a.size * b.size for a, b, _ in classes)
+    if count > cap:
+        raise TooLarge(f"{count} state-pair orbits exceed the cap of {cap}")
+    pair_a = np.concatenate([np.repeat(a, b.size) for a, b, _ in classes])
+    pair_b = np.concatenate([np.tile(b, a.size) for a, b, _ in classes])
+    distinct = np.concatenate([np.tile(m, a.size) for a, _, m in classes])
     order = np.lexsort((pair_b, pair_a))
     return sources, pair_a[order], pair_b[order], distinct[order]
 
@@ -98,17 +111,50 @@ def _pairs_covered(r: int, distinct: np.ndarray) -> int:
     return sum(math.perm(r, m) * int(c) for m, c in enumerate(np.bincount(distinct)))
 
 
-def _relabelings_preserve_edges(g: ExplicitGraph, params: HanoiParams, states) -> bool:
-    """True when (1 2) and the cycle 1 -> 2 -> ... -> r -> 1 map g's edges onto themselves.
+def _valid_rows(states: np.ndarray, params: HanoiParams) -> bool:
+    """True when every row is a state ``make_state`` accepts under ``params``.
 
-    The two generate every permutation of 1..r, so distances, and every pair
-    check, are constant on the orbits of state pairs.
+    Rows hold k entries in 0..r with no two consecutive equal, and a proper
+    row does not start with 0.
     """
-    r = params.r
-    edges = g.edge_array()
-    for perm in ([0, 2, 1, *range(3, r + 1)], [0, *range(2, r + 1), 1]):
-        image = encode_states(np.asarray(perm, dtype=states.dtype)[states], params)
-        if not _maps_edges_onto(image, edges, edges, g.n):
+    return bool(
+        states.shape[1] == params.k
+        and ((states >= 0) & (states <= params.r)).all()
+        and (states[:, 1:] != states[:, :-1]).all()
+        and not (params.proper and (states[:, 0] == 0).any())
+    )
+
+
+def _renamings(params: HanoiParams) -> list[np.ndarray]:
+    """Two value renamings that generate every renaming of the mode's values.
+
+    The values are 1..r for proper states (0 stays fixed) and 0..r otherwise;
+    with lo the smallest, the renamings are (lo lo+1) and the cycle
+    lo -> lo+1 -> ... -> r -> lo; there are none for a single value.
+    """
+    lo = 1 if params.proper else 0
+    if params.r <= lo:
+        return []
+    swap = np.arange(params.r + 1)
+    swap[[lo, lo + 1]] = lo + 1, lo
+    cycle = np.arange(params.r + 1)
+    cycle[lo:] = np.roll(cycle[lo:], -1)
+    return [swap, cycle]
+
+
+def _is_equivariant(table: np.ndarray, states: np.ndarray, params: HanoiParams) -> bool:
+    """True when each of :func:`_renamings` carries the move table onto itself.
+
+    With sigma renaming state v to state image[v] and the adjustment to c to
+    the adjustment to sigma(c), ``table[image[v], sigma(c)] == image[table[v, c]]``
+    for every cell; -1 (illegal) stays -1 and the involution's code r + 1 is
+    fixed.  The two renamings generate all of them, so the move graph the
+    table encodes is then invariant under every renaming of the mode.
+    """
+    for sigma in _renamings(params):
+        image = encode_states(sigma.astype(states.dtype)[states], params).astype(table.dtype)
+        codes = np.append(sigma, params.r + 1)
+        if not np.array_equal(table[image[:, None], codes], np.append(image, -1)[table]):
             return False
     return True
 
@@ -116,9 +162,9 @@ def _relabelings_preserve_edges(g: ExplicitGraph, params: HanoiParams, states) -
 def _move_table(states, params: HanoiParams) -> np.ndarray:
     """(n, r + 2) int32: ``table[v, c]`` is the rank of state v after move c, -1 where illegal.
 
-    ``states`` lists the states as tuples in rank order.  Code c <= r is the
-    adjustment to c and r + 1 the involution.  Each legal (state, move) goes
-    through ``apply_move`` once, the calls neighbors() makes.
+    ``states`` lists n states as tuples.  Code c <= r is the adjustment to c
+    and r + 1 the involution.  Each legal (state, move) goes through
+    ``apply_move`` once, the calls neighbors() makes.
     """
     r1 = params.r + 1
     width = np.min_scalar_type(r1)  # an unsigned type whose char is also an array typecode
@@ -140,20 +186,17 @@ def _move_table(states, params: HanoiParams) -> np.ndarray:
     return table
 
 
-def _is_symmetric(ends: np.ndarray) -> bool:
-    """True when row w of ``ends`` lists v whenever row v lists w.
+def _is_symmetric(table: np.ndarray, rows: np.ndarray) -> bool:
+    """True when row w of ``table`` lists v whenever row v, one of ``rows``, lists w.
 
-    ``ends`` is a move table with each row sorted, -1 where no move leads.
-    Rows are compared as sets: a repeated entry lists the same neighbour.
+    ``table`` is a move table, -1 where no move leads.  An equivariant table
+    that passes for the canonical rows is symmetric: sigma carries the pair
+    (c, w) and its way back to (sigma c, sigma w).
     """
-    repeated = np.zeros(ends.shape, dtype=bool)
-    np.equal(ends[:, 1:], ends[:, :-1], out=repeated[:, 1:])
-    keep = (ends >= 0) & ~repeated
-    x = np.repeat(np.arange(len(ends), dtype=ends.dtype), keep.sum(axis=1))
-    y = ends[keep]
-    # The pairs (x, y) come sorted; a stable sort on y sorts the pairs (y, x) alike.
-    order = np.argsort(y, kind="stable")
-    return np.array_equal(y[order], x) and np.array_equal(x[order], y)
+    ends = table[rows]
+    legal = ends >= 0
+    back = table[ends[legal]] == np.repeat(rows, legal.sum(axis=1))[:, None]
+    return bool(back.any(axis=1).all())
 
 
 def run_verify_suite(
@@ -182,9 +225,15 @@ def run_verify_suite(
     improper = HanoiParams(r, k, proper=False)
     states_p = state_matrix(proper, cap)
     states_i = state_matrix(improper, cap)
+    orbits = _pair_orbits(states_p, cap)
 
-    # State counts against the closed forms.
-    ok = len(states_p) == r**k and len(states_i) == (r + 1) * r ** (k - 1)
+    # State counts against the closed forms, and every state valid.
+    ok = (
+        len(states_p) == r**k
+        and len(states_i) == (r + 1) * r ** (k - 1)
+        and _valid_rows(states_p, proper)
+        and _valid_rows(states_i, improper)
+    )
     results.append(
         CheckResult(
             "state counts",
@@ -195,7 +244,9 @@ def run_verify_suite(
     )
 
     # Explicit builder against the move-level definition, both modes, adjacency
-    # symmetry and the involution, all read from one move table per mode.
+    # symmetry and the involution, all read from one move table per mode.  The
+    # move rules and the symmetry check run on the canonical states alone; the
+    # table's equivariance carries their verdicts to every state of each orbit.
     graphs = {}
     sym = involutive = True
     for label, params, states in (
@@ -204,27 +255,32 @@ def run_verify_suite(
     ):
         g = build_explicit(params, cap)
         graphs[label] = g
-        listed = list(map(tuple, states.tolist()))
-        table = _move_table(listed, params)
-        n = len(listed)
+        table = _move_ranks(states, params)
+        n = len(states)
+        relabeled, _ = _first_appearance(states, 0 if params.proper else -1)
+        canonical = np.flatnonzero((relabeled == states).all(axis=1))
+        rules = np.array_equal(
+            table[canonical], _move_table(list(map(tuple, states[canonical].tolist())), params)
+        )
+        equivariant = _is_equivariant(table, states, params)
+        sym = sym and equivariant and _is_symmetric(table, canonical)
         ends = np.sort(table, axis=1)
         legal = ends >= 0
-        same = (
+        built = (
             g.n == n
             and np.array_equal(legal.sum(axis=1), g.degrees())
             and np.array_equal(ends[legal], g.indices)
         )
-        del legal
-        sym = sym and _is_symmetric(ends)
-        del ends
+        del ends, legal
         # An illegal involution counts as a fixed point.
         inv = np.where(table[:, -1] < 0, np.arange(n), table[:, -1])
         involutive = involutive and np.array_equal(inv[inv], np.arange(n))
-        results.append(
-            CheckResult(f"builder matches moves ({label})", same, f"n={g.n} m={g.m}")
-        )
+        results.append(CheckResult(
+            f"builder matches moves ({label})", built and rules and equivariant, f"n={g.n} m={g.m}"
+        ))
         if params.proper:
-            listed_p, table_p = listed, table
+            # The built edges are the table's, which the renamings carry onto itself.
+            table_p, automorphic = table, built and equivariant
         del table
     results.append(CheckResult("adjacency symmetry", sym))
 
@@ -251,16 +307,15 @@ def run_verify_suite(
     target = 2**k - 1
 
     if n >= 2:
-        ok = _relabelings_preserve_edges(gp, proper, states_p)
         results.append(
             CheckResult(
                 "value relabeling is an automorphism",
-                ok,
+                automorphic,
                 f"(1 2) and the {r}-cycle on 1..{r} map the edge set onto itself (m={gp.m})",
             )
         )
 
-        sources, pair_a, pair_b, distinct = _pair_orbits(states_p)
+        sources, pair_a, pair_b, distinct = orbits
         # Distances from the state-orbit representatives, gathered per pair
         # representative; the rows themselves are dropped chunk by chunk.
         pair_dist = np.empty(pair_a.size, dtype=np.int32)
@@ -287,9 +342,10 @@ def run_verify_suite(
         if not ok:
             scope += f"; orbits cover {covered} of {total_pairs} pairs"
         lengths = np.full(pair_a.size, -1, dtype=np.int32)  # -1 until solved
+        listed = list(map(tuple, states_p.tolist()))  # validated by the "state counts" row
 
         def solved(p):
-            moves = solve(listed_p[first[p]], listed_p[pair_b[p]], proper).moves
+            moves = _solve_moves(listed[first[p]], listed[pair_b[p]])
             lengths[p] = len(moves)
             return moves
 
@@ -381,7 +437,8 @@ def run_verify_suite(
             CheckResult("solver vs BFS bounds", True, "graph has one vertex", skipped=True)
         )
 
-    # Truncation isomorphism.
+    # Truncation isomorphism, with the proper graph and its table dropped.
+    del gp, graphs["proper"], table_p
     t = iterate_truncation(r, k, cap)
     want = (r + 1) * r ** (k - 1)
     ok = (

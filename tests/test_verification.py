@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -9,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import dug.graph
 import dug.solver
 import dug.truncation
 import dug.verification
@@ -19,7 +22,7 @@ from dug import (
     Adjust,
     ExplicitGraph,
     HanoiParams,
-    MovePath,
+    TooLarge,
     best_uniformity,
     build_explicit,
     enumerate_states,
@@ -28,15 +31,16 @@ from dug import (
     solve,
 )
 from dug.cli import cli_dispatch
-from dug.hanoi import _move_ranks, apply_move, state_index, state_matrix
+from dug.hanoi import _first_appearance, _move_ranks, apply_move, state_index, state_matrix
 from dug.solver import _construct, _replay_walks
 from dug.verification import (
     CheckResult,
+    _is_equivariant,
     _pair_orbits,
     _pairs_covered,
     _is_symmetric,
     _move_table,
-    _relabelings_preserve_edges,
+    _valid_rows,
     run_verify_suite,
 )
 
@@ -176,26 +180,59 @@ def test_pair_orbits_match_brute_force(r, k):
 
 def test_broken_automorphism_is_caught():
     params = HanoiParams(4, 2, proper=True)
-    g = build_explicit(params)
     states = state_matrix(params)
-    assert _relabelings_preserve_edges(g, params, states)
-    edges = g.edge_array()
+    table = _move_ranks(states, params)
+    assert _is_equivariant(table, states, params)
     index = {tuple(s): i for i, s in enumerate(states.tolist())}
-    # Two new edges that (1 2) swaps but the 4-cycle moves elsewhere.
-    extra = [[index[(1, 3)], index[(4, 2)]], [index[(2, 3)], index[(4, 1)]]]
-    assert not any(v in g.neighbors_of(u) for u, v in extra)
-    added = ExplicitGraph.from_edges(g.n, np.vstack([edges, extra]))
-    assert not _relabelings_preserve_edges(added, params, states)
-    # One edge moved: (1 2) already sends it off the edge set.
-    u, v = edges[0]
-    w = next(x for x in range(g.n) if x not in (u, v) and x not in g.neighbors_of(u))
-    moved = ExplicitGraph.from_edges(g.n, np.vstack([[u, w], edges[1:]]))
-    assert not _relabelings_preserve_edges(moved, params, states)
+    # One cell broken: (1, 3)'s adjustment to 4 leads to (1, 2), not (1, 4).
+    broken = table.copy()
+    broken[index[(1, 3)], 4] = index[(1, 2)]
+    assert not _is_equivariant(broken, states, params)
+    # Added entries in illegal cells, a new edge (1, 3) -- (4, 2) and its
+    # image (2, 3) -- (4, 1) under (1 2): the swap keeps them, the 4-cycle
+    # sends them off the table.
+    added = table.copy()
+    for (u, c), v in (((1, 3), 1), (4, 2)), (((4, 2), 4), (1, 3)), \
+                     (((2, 3), 2), (4, 1)), (((4, 1), 4), (2, 3)):
+        assert added[index[u], c] == -1
+        added[index[u], c] = index[v]
+    assert _is_symmetric(added, np.arange(len(added)))
+    assert not _is_equivariant(added, states, params)
+    # Improper tables are checked under renamings that move 0: (0, 1)'s
+    # adjustment to 2 leads to (0, 3), not (0, 2).
+    params = HanoiParams(3, 2)
+    states = state_matrix(params)
+    table = _move_ranks(states, params)
+    assert _is_equivariant(table, states, params)
+    table[state_index((0, 1), params), 2] = state_index((0, 3), params)
+    assert not _is_equivariant(table, states, params)
+
+
+def test_valid_rows():
+    proper, improper = HanoiParams(3, 3, proper=True), HanoiParams(3, 3)
+    assert _valid_rows(state_matrix(proper), proper)
+    assert _valid_rows(state_matrix(improper), improper)
+    assert not _valid_rows(state_matrix(improper), proper)  # rows starting with 0
+    for row in ([1, 2, 4], [1, -1, 2], [1, 1, 2], [2, 3, 3]):
+        states = state_matrix(proper)
+        states[5] = row
+        assert not _valid_rows(states, proper), row
+    assert not _valid_rows(state_matrix(HanoiParams(3, 2, proper=True)), proper)  # k = 2
+
+
+def test_invalid_states_fail_the_state_counts_row(monkeypatch):
+    real = dug.verification._valid_rows
+    monkeypatch.setattr(dug.verification, "_valid_rows",
+                        lambda states, params: params.proper and real(states, params))
+    rows = {c.name: c for c in run_verify_suite(3, 2)}
+    assert [name for name, c in rows.items() if not c.ok] == ["state counts"]
+    assert rows["state counts"].detail == "proper 9 (want 9), improper 12 (want 12)"
 
 
 def test_is_symmetric():
-    # (x, y, n, symmetric): the pairs x -> y over vertices 0..n-1, as sorted
-    # table rows padded with -1.
+    # (x, y, n, symmetric): the pairs x -> y over vertices 0..n-1, as table
+    # rows padded with -1; every row checked, then only the rows listing no
+    # pair that lacks its way back.
     for x, y, n, want in (
         ([0, 0, 1, 2], [1, 2, 0, 0], 3, True),
         ([0, 0, 1], [1, 1, 0], 2, True),  # a repeated pair lists the same neighbour
@@ -208,7 +245,9 @@ def test_is_symmetric():
         ends = np.full((n, len(x) + 1), -1, dtype=np.int32)
         for i, (u, v) in enumerate(zip(x, y)):
             ends[u, i] = v
-        assert _is_symmetric(np.sort(ends, axis=1)) is want
+        assert _is_symmetric(ends, np.arange(n)) is want
+        back = [v for v in range(n) if all(v in ends[w] for w in ends[v] if w >= 0)]
+        assert _is_symmetric(ends, np.array(back, dtype=np.int64)) is True
 
 
 # r <= 6, k <= 5 and r^k <= 256 (r = 1 only up to k = 3): k = 1, proper first
@@ -245,7 +284,7 @@ def test_rank_arithmetic_fills_the_same_move_table(r, k, proper):
 
 
 def test_apply_move_called_once_per_legal_move(monkeypatch):
-    """(4, 4): 2 300 calls, one per legal (state, move) of the proper and improper graphs."""
+    """(4, 4): 79 calls, 59 proper and 20 improper, where every state took 2 300."""
     real = dug.verification.apply_move
     calls = Counter()
 
@@ -256,26 +295,137 @@ def test_apply_move_called_once_per_legal_move(monkeypatch):
     monkeypatch.setattr(dug.verification, "apply_move", spy)
     r, k = 4, 4
     assert all(c.ok for c in run_verify_suite(r, k))
-    m_proper = build_explicit(HanoiParams(r, k, proper=True)).m
-    m_improper = build_explicit(HanoiParams(r, k)).m
     assert set(calls.values()) == {1}
-    assert len(calls) == 2 * m_proper + 2 * m_improper == 2300
-    for proper in (True, False):
+    assert len(calls) == 79
+    for proper, want in ((True, 59), (False, 20)):
         params = HanoiParams(r, k, proper=proper)
-        assert {(x, m) for x, m, p in calls if p is proper} == {
-            (x, m) for x in enumerate_states(params) for m in legal_moves(x, params)}
+        states = state_matrix(params)
+        relabeled, _ = _first_appearance(states, 0 if proper else -1)
+        canonical = map(tuple, states[(relabeled == states).all(axis=1)].tolist())
+        got = {(x, m) for x, m, p in calls if p is proper}
+        assert len(got) == want
+        assert got == {(x, m) for x in canonical for m in legal_moves(x, params)}
+
+
+def renamed_moves_commute(x, sigma, params, apply=apply_move):
+    """True when the moves of sigma(x) are the sigma-images of x's and lead to the images of x's targets.
+
+    sigma renames value v to sigma[v]; it renames the adjustment to c to the
+    adjustment to sigma[c] and keeps the involution.
+    """
+    def rename(state):
+        return tuple(sigma[v] for v in state)
+
+    def rename_move(m):
+        return m if m is INVOLUTE else Adjust(sigma[m.value])
+
+    y = rename(x)
+    moves = legal_moves(x, params)
+    return set(legal_moves(y, params)) == set(map(rename_move, moves)) and all(
+        apply(y, rename_move(m), params) == rename(apply(x, m, params)) for m in moves)
+
+
+@st.composite
+def renamed_state(draw):
+    """A valid state of some (r, k), either mode, and a renaming of the mode's values."""
+    r = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 6))
+    params = HanoiParams(r, k, proper=draw(st.booleans()))
+    entries = [draw(st.integers(1 if params.proper else 0, r))]
+    for _ in range(k - 1):
+        digit = draw(st.integers(0, r - 1))
+        entries.append(digit + (1 if digit >= entries[-1] else 0))
+    if params.proper:
+        sigma = [0, *draw(st.permutations(range(1, r + 1)))]
+    else:
+        sigma = list(draw(st.permutations(range(r + 1))))
+    return tuple(entries), sigma, params
+
+
+@given(renamed_state())
+def test_move_rules_commute_with_renaming(case):
+    """The premise that lets the suite apply the move rules to orbit representatives only."""
+    x, sigma, params = case
+    assert renamed_moves_commute(x, sigma, params)
+
+
+def every_renaming_commutes(params, apply=apply_move):
+    """renamed_moves_commute for every state of ``params`` and every renaming of its values."""
+    lo = 1 if params.proper else 0
+    return all(
+        renamed_moves_commute(x, [*range(lo), *perm], params, apply=apply)
+        for x in enumerate_states(params)
+        for perm in itertools.permutations(range(lo, params.r + 1))
+    )
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+@pytest.mark.parametrize("r,k", [(1, 3), (2, 4), (3, 1), (3, 3), (4, 2)])
+def test_move_rules_commute_with_every_renaming(r, k, proper):
+    assert every_renaming_commutes(HanoiParams(r, k, proper=proper))
+
+
+def test_move_rule_fault_on_a_representative_fails_the_builder_row(monkeypatch):
+    real = dug.verification.apply_move
+
+    def broken(x, move, params):
+        # (1, 2) is the canonical state of its proper orbit, not of its improper one.
+        return (1, 3) if x == (1, 2) and move is INVOLUTE else real(x, move, params)
+
+    monkeypatch.setattr(dug.verification, "apply_move", broken)
+    failed = [c.name for c in run_verify_suite(3, 2) if not c.ok]
+    assert failed == ["builder matches moves (proper)"]
+
+
+def test_rank_fault_off_the_representatives_fails_the_builder_row(monkeypatch):
+    """A builder fault on a non-canonical state, with the CSR matching its table, breaks equivariance."""
+    real = dug.hanoi._move_ranks
+
+    def broken(states, params):
+        # (2, 1) goes to (1, 3) by the involution, not to (1, 2).
+        table = real(states, params)
+        if params.proper and params.k == 2:
+            table[state_index((2, 1), params), -1] = state_index((1, 3), params)
+        return table
+
+    monkeypatch.setattr(dug.graph, "_move_ranks", broken)
+    monkeypatch.setattr(dug.verification, "_move_ranks", broken)
+    failed = [c.name for c in run_verify_suite(3, 2) if not c.ok]
+    assert failed == [
+        "builder matches moves (proper)",
+        "adjacency symmetry",
+        "involution self-inverse",
+        AUTOMORPHISM,
+        "solver vs BFS bounds",
+    ]
+
+
+def test_move_rule_fault_off_the_representatives_needs_the_equivariance_test(monkeypatch):
+    """The suite never applies a move to (2, 1); only the renaming test sees the fault."""
+    real = dug.verification.apply_move
+
+    def broken(x, move, params):
+        # (2, 1) goes to (1, 3) by the involution, not to (1, 2).
+        return (1, 3) if x == (2, 1) and move is INVOLUTE else real(x, move, params)
+
+    monkeypatch.setattr(dug.verification, "apply_move", broken)
+    assert all(c.ok for c in run_verify_suite(3, 2))
+    for proper in (True, False):
+        params = HanoiParams(3, 2, proper=proper)
+        assert every_renaming_commutes(params)
+        assert not every_renaming_commutes(params, apply=broken)
 
 
 def test_solver_row_lengths_serve_the_disjoint_row(monkeypatch):
     """Unsampled, each orbit representative is solved once; sampled, the disjoint ones left out once more."""
-    real = dug.verification.solve
+    real = dug.verification._solve_moves
     calls = Counter()
 
-    def spy(a, b, params):
+    def spy(a, b):
         calls[a, b] += 1
-        return real(a, b, params)
+        return real(a, b)
 
-    monkeypatch.setattr(dug.verification, "solve", spy)
+    monkeypatch.setattr(dug.verification, "_solve_moves", spy)
     proper = HanoiParams(4, 3, proper=True)
     states = state_matrix(proper)
     sources, pair_a, pair_b, _ = _pair_orbits(states)
@@ -318,22 +468,22 @@ def test_builder_fault_fails_the_builder_and_truncation_rows(monkeypatch):
 
 def test_one_way_move_fails_adjacency_symmetry(monkeypatch):
     # Proper (1, 2) gains an adjustment to 1 that leads to (3, 1), which has no move back.
-    real_legal, real_apply = dug.verification.legal_moves, dug.verification.apply_move
+    real = dug.verification._move_ranks
 
-    def legal(x, params):
-        return real_legal(x, params) + ([Adjust(1)] if x == (1, 2) and params.proper else [])
+    def one_way(states, params):
+        table = real(states, params)
+        if params.proper:
+            table[state_index((1, 2), params), 1] = state_index((3, 1), params)
+        return table
 
-    def one_way(x, move, params):
-        if x == (1, 2) and move == Adjust(1):
-            return (3, 1)
-        return real_apply(x, move, params)
-
-    monkeypatch.setattr(dug.verification, "legal_moves", legal)
-    monkeypatch.setattr(dug.verification, "apply_move", one_way)
-    rows = {c.name: c for c in run_verify_suite(3, 2)}
-    assert not rows["adjacency symmetry"].ok
-    assert not rows["builder matches moves (proper)"].ok
-    assert rows["builder matches moves (improper)"].ok
+    monkeypatch.setattr(dug.verification, "_move_ranks", one_way)
+    failed = [c.name for c in run_verify_suite(3, 2) if not c.ok]
+    # The table's edge is not the builder's, and no renaming carries it along.
+    assert failed == [
+        "builder matches moves (proper)",
+        "adjacency symmetry",
+        AUTOMORPHISM,
+    ]
 
 
 def test_builder_with_an_extra_vertex_fails_its_row(monkeypatch):
@@ -383,13 +533,15 @@ def test_builder_rows_with_the_same_entries_fail_their_row(monkeypatch, fault):
 
 
 def test_broken_involution_fails_its_row(monkeypatch):
-    real = dug.verification.apply_move
+    real = dug.verification._move_ranks
 
-    def broken(x, move, params):
+    def broken(states, params):
         # (1, 2) goes to (1, 3), whose involution (3, 1) does not lead back.
-        return (1, 3) if x == (1, 2) and move is INVOLUTE else real(x, move, params)
+        table = real(states, params)
+        table[state_index((1, 2), params), -1] = state_index((1, 3), params)
+        return table
 
-    monkeypatch.setattr(dug.verification, "apply_move", broken)
+    monkeypatch.setattr(dug.verification, "_move_ranks", broken)
     failed = [c.name for c in run_verify_suite(3, 2) if not c.ok]
     # Every row that reads the move table reads the broken transition.
     assert failed == [
@@ -397,6 +549,7 @@ def test_broken_involution_fails_its_row(monkeypatch):
         "builder matches moves (improper)",
         "adjacency symmetry",
         "involution self-inverse",
+        AUTOMORPHISM,
         "solver vs BFS bounds",
     ]
 
@@ -410,15 +563,15 @@ def test_broken_solver_fails_pair_rows(monkeypatch):
     hypothesis test of ``_construct``'s equivariance in test_solver.py covers
     those, not this suite.
     """
-    real = dug.verification.solve
+    real = dug.verification._solve_moves
 
-    def lengthened(a, b, params):
-        path = real(a, b, params)
+    def lengthened(a, b):
+        moves = real(a, b)
         if set(a) & set(b):
-            return path
-        return MovePath(path.start, path.moves + (Adjust(a[0]), Adjust(b[-1])))
+            return moves
+        return moves + (Adjust(a[0]), Adjust(b[-1]))
 
-    monkeypatch.setattr(dug.verification, "solve", lengthened)
+    monkeypatch.setattr(dug.verification, "_solve_moves", lengthened)
     for r, k in ((3, 2), (4, 3)):
         rows = {c.name: c for c in run_verify_suite(r, k)}
         assert not rows["solver vs BFS bounds"].ok
@@ -440,13 +593,12 @@ FAULTS = {
 def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
     """A path that breaks the move rules is a failed check, not bad input to dug verify."""
     pair, moves = FAULTS[fault]
-    real = dug.verification.solve
+    real = dug.verification._solve_moves
 
-    def faulty(a, b, params):
-        path = real(a, b, params)
-        return MovePath(path.start, moves) if (a, b) == pair else path
+    def faulty(a, b):
+        return moves if (a, b) == pair else real(a, b)
 
-    monkeypatch.setattr(dug.verification, "solve", faulty)
+    monkeypatch.setattr(dug.verification, "_solve_moves", faulty)
     assert [c.name for c in run_verify_suite(3, 2) if not c.ok] == ["solver vs BFS bounds"]
     assert cli_dispatch(["verify", "--r", "3", "--k", "2"]) == 1
     out, err = capsys.readouterr()
@@ -516,8 +668,8 @@ def test_suite_builds_each_explicit_graph_once(monkeypatch):
 def test_solver_row_needs_every_orbit(monkeypatch):
     real = dug.verification._pair_orbits
 
-    def one_short(states):
-        sources, pair_a, pair_b, distinct = real(states)
+    def one_short(states, cap):
+        sources, pair_a, pair_b, distinct = real(states, cap)
         return sources, pair_a[:-1], pair_b[:-1], distinct[:-1]
 
     monkeypatch.setattr(dug.verification, "_pair_orbits", one_short)
@@ -525,6 +677,27 @@ def test_solver_row_needs_every_orbit(monkeypatch):
     assert not solver.ok
     m = re.fullmatch(r"all 81 pairs \(13 orbits\); orbits cover (\d+) of 81 pairs", solver.detail)
     assert m and int(m.group(1)) < 81
+
+
+@pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
+def test_pair_orbits_are_counted_before_they_are_listed(r, k):
+    states = state_matrix(HanoiParams(r, k, proper=True))
+    count = len(_pair_orbits(states)[1])
+    assert len(_pair_orbits(states, cap=count)[1]) == count
+    with pytest.raises(TooLarge, match=f"^{count} state-pair orbits exceed the cap of {count - 1}$"):
+        _pair_orbits(states, cap=count - 1)
+
+
+def test_too_many_pair_orbits_exit_2_before_any_graph_is_built(monkeypatch, capsys):
+    """(4, 6): 4 096 states fit 2^19, their 700 075 pair orbits do not."""
+    def refused(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(dug.verification, "build_explicit", refused)
+    assert cli_dispatch(["verify", "--r", "4", "--k", "6", "--cap", "19"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 700075 state-pair orbits exceed the cap of 524288\n"
 
 
 def test_sampled_orbits():

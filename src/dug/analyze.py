@@ -151,21 +151,27 @@ def best_uniformity(
 def is_distance_uniform(g: ExplicitGraph, epsilon, d: int) -> bool:
     """True iff every vertex has at most epsilon * n other vertices not at distance d.
 
-    Exact rational comparison; epsilon may be a Fraction, int, or 'p/q' string.
-    Reads column d of the all-source distance histograms; a d beyond the
-    diameter leaves every vertex n - 1 others off.
+    Exact rational comparison of :func:`_epsilon_at` with epsilon, which may
+    be a Fraction, int, or 'p/q' string.
     """
     if g.n < 2:
         raise TooSmall(f"need at least 2 vertices, got {g.n}")
     eps = Fraction(epsilon)
     if eps < 0 or d < 1:
         raise BadParams(f"need epsilon >= 0 and d >= 1, got {eps}, {d}")
-    n = g.n
+    return _epsilon_at(g, d) <= eps
+
+
+def _epsilon_at(g: ExplicitGraph, d: int) -> Fraction:
+    """Exact epsilon at distance d >= 1: the most other vertices any vertex has off d, over n.
+
+    Reads column d of the all-source distance histograms; a d beyond the
+    diameter leaves every vertex n - 1 others off.  Python-int arithmetic,
+    so no numerator or denominator can overflow.
+    """
     _, table, _ = distance_histograms(g)
-    fewest_at_d = int(table[:, d].min()) if d < table.shape[1] else 0
-    # With eps = p/q and integer off: off * q > p * n  <=>  off > floor(p * n / q).
-    # The threshold stays a Python int, so huge p or q cannot overflow int64.
-    return (n - 1) - fewest_at_d <= eps.numerator * n // eps.denominator
+    fewest = int(table[:, d].min()) if d < table.shape[1] else 0
+    return Fraction(g.n - 1 - fewest, g.n)
 
 
 def min_ball_sizes(g: ExplicitGraph, radii: Iterable[int]) -> dict[int, int]:

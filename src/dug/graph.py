@@ -26,6 +26,7 @@ from .hanoi import (
     _move_ranks,
     _sorted_unique,
     encode_states,
+    format_state,
     state_matrix,
 )
 
@@ -221,26 +222,12 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(legal.sum(axis=1))])
     indices = table[legal]
     del table, legal
-    labels = tuple(",".join(map(str, row)) for row in S.tolist())
+    labels = tuple(map(format_state, S.tolist()))
     g = ExplicitGraph(n, indptr, indices, labels)
     canonical, _ = _first_appearance(S, 0 if params.proper else -1)
     g.classes = encode_states(canonical, params)
     g.classes.setflags(write=False)
     return g
-
-
-def _maps_edges_onto(image: np.ndarray, edges: np.ndarray, want: np.ndarray, n: int) -> bool:
-    """True iff ``image`` permutes 0..n-1 and carries the ``edges`` (u, v) onto those of ``want``.
-
-    Vertex v goes to ``image[v]``.  ``want`` lists a graph's edges as
-    :meth:`ExplicitGraph.edge_array` does; ``edges`` may list theirs in any
-    order and orientation.
-    """
-    if not np.array_equal(np.sort(image), np.arange(n)):
-        return False
-    ends = image[edges]
-    return np.array_equal(np.sort(ends.min(axis=1) * n + ends.max(axis=1)),
-                          want[:, 0] * n + want[:, 1])
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:

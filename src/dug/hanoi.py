@@ -216,7 +216,7 @@ def enumerate_states(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> list[
 
 def format_state(x: State) -> str:
     """Text form: comma-separated decimal entries, no spaces, e.g. ``1,2,3,4``."""
-    return ",".join(str(e) for e in x)
+    return ",".join(map(str, x))
 
 
 def parse_state(text: str) -> State:

@@ -13,7 +13,9 @@ Hanoi states over {0..r}, sibling edges matching adjustments and partner
 edges matching involutions (Hinz et al., *The Tower of Hanoi -- Myths and
 Maths*, 2013).  verify_isomorphism certifies that labeling against
 build_explicit, the graph the verify suite certifies against the move rules
-(the suite hands its certified graph to the same certificate).
+(the suite hands its certified graph to the same certificate).  Both graphs
+are r-regular CSRs with sorted rows, so the certificate renames each row of
+the truncation to state ranks, sorts it, and compares the rows at each rank.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExplicitGraph, _maps_edges_onto, build_explicit
+from .graph import ExplicitGraph, build_explicit
 from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
@@ -112,7 +114,7 @@ def verify_isomorphism(t: LabeledGraph, params: HanoiParams) -> bool:
     """Certify the canonical label map of a truncation against the Hanoi graph.
 
     True iff the labels are exactly the full state set and renaming each
-    vertex to its state's rank maps the edges onto those of
+    vertex to its state's rank turns its neighbor rows into those of
     ``build_explicit(params)``, which the verify suite certifies against the
     move rules in the same run.  Uses only the canonical labels, never
     isomorphism search.
@@ -131,6 +133,17 @@ def _certify(t: LabeledGraph, graph: ExplicitGraph) -> bool:
 
     ``graph`` stands for the improper Hanoi graph of ``t``'s (r, k), vertices
     numbered by rank; the verify suite passes the one it has just certified.
+    Both graphs must have the same n and every degree r, and the ranks must
+    permute 0..n-1.  Then each row of ``t``, renamed to ranks and sorted,
+    must be ``graph``'s row at its vertex's rank.
     """
-    ranks = encode_states(np.array(t.states), HanoiParams(t.r, t.k, proper=False))
-    return _maps_edges_onto(ranks, t.graph.edge_array(), graph.edge_array(), graph.n)
+    n, r = graph.n, t.r
+    if t.graph.n != n or (t.graph.degrees() != r).any() or (graph.degrees() != r).any():
+        return False
+    ranks = encode_states(np.array(t.states), HanoiParams(r, t.k, proper=False)).astype(np.int32)
+    if not np.array_equal(np.sort(ranks), np.arange(n)):
+        return False
+    rows = np.empty((n, r), dtype=np.int32)
+    rows[ranks] = ranks[t.graph.indices].reshape(n, r)
+    rows.sort(axis=1)
+    return np.array_equal(rows.reshape(-1), graph.indices)

@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from dug import (
     format_state,
     iterate_truncation,
     truncate_once,
+    build_explicit,
     verify_isomorphism,
 )
+from dug.truncation import _certify
 
 
 def reference_truncate_once(t: LabeledGraph) -> LabeledGraph:
@@ -218,6 +221,43 @@ class TestIsomorphism:
         states[0], states[1] = states[1], states[0]
         swapped = LabeledGraph(t.graph, tuple(states), r=t.r)
         assert not verify_isomorphism(swapped, HanoiParams(3, 3))
+
+    def test_consistent_renumbering_passes(self):
+        # Vertex v becomes order[v]; its state and its edges move with it.
+        t = iterate_truncation(3, 3)
+        order = np.random.default_rng(5).permutation(t.graph.n)
+        states = [None] * t.graph.n
+        for v, s in enumerate(t.states):
+            states[order[v]] = s
+        g = ExplicitGraph.from_edges(t.graph.n, order[t.graph.edge_array()],
+                                     [format_state(s) for s in states])
+        moved = LabeledGraph(g, tuple(states), r=t.r)
+        assert verify_isomorphism(moved, HanoiParams(3, 3))
+        assert _certify(moved, build_explicit(HanoiParams(3, 3)))
+
+    def test_some_of_the_states_fail(self):
+        # The subgraph on all but the last vertex: distinct valid states, too few of them.
+        t = iterate_truncation(3, 2)
+        n = t.graph.n - 1
+        edges = [(u, v) for u, v in t.graph.edges() if v < n]
+        g = ExplicitGraph.from_edges(n, edges, t.graph.labels[:n])
+        part = LabeledGraph(g, t.states[:n], r=t.r)
+        assert not verify_isomorphism(part, HanoiParams(3, 2))
+
+    def test_missing_edge_fails(self):
+        t = iterate_truncation(3, 2)
+        g = ExplicitGraph.from_edges(t.graph.n, t.graph.edge_array()[1:], t.graph.labels)
+        assert not verify_isomorphism(LabeledGraph(g, t.states, r=t.r), HanoiParams(3, 2))
+        # Nor does a full truncation match a reference with an edge missing.
+        want = build_explicit(HanoiParams(3, 2))
+        assert not _certify(t, ExplicitGraph.from_edges(want.n, want.edge_array()[1:]))
+
+    def test_repeated_state_fails_the_permutation_guard(self):
+        # LabeledGraph refuses repeated states; _certify must not rely on that.
+        t = iterate_truncation(2, 2)
+        states = (t.states[1],) + t.states[1:]
+        fake = SimpleNamespace(graph=t.graph, states=states, r=t.r, k=t.k)
+        assert not _certify(fake, build_explicit(HanoiParams(2, 2)))
 
     def test_labeled_graph_validation(self):
         g = ExplicitGraph.from_edges(2, [(0, 1)], labels=["0", "1"])

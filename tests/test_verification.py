@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dug.graph
+import dug.hanoi
 import dug.solver
 import dug.truncation
 import dug.verification
@@ -281,6 +282,20 @@ def test_rank_arithmetic_fills_the_same_move_table(r, k, proper):
     want = _move_table(list(map(tuple, states.tolist())), params)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def test_move_table_ranks_without_the_bulk_ranking(monkeypatch):
+    """The reference ranks each move's result on its own, not through the code it certifies."""
+    params = HanoiParams(3, 3)
+    states = state_matrix(params)
+    want = _move_ranks(states, params)
+
+    def refuse(*args):
+        raise AssertionError("bulk ranking called")
+
+    monkeypatch.setattr(dug.verification, "encode_states", refuse)
+    monkeypatch.setattr(dug.hanoi, "_rank_columns", refuse)
+    assert np.array_equal(_move_table(list(map(tuple, states.tolist())), params), want)
 
 
 def test_apply_move_called_once_per_legal_move(monkeypatch):

@@ -58,6 +58,11 @@ class InconsistentHeader(ValueError):
 _EDGE_CHUNK = 1 << 16
 # Bytes of whole lines the bulk edge reader checks and decodes at a time.
 _READ_CHUNK = 1 << 18
+# Adjacency entries a BFS pull step gathers at a time (see _pull).
+_PULL_BLOCK = 1 << 15
+# A BFS level pushes its frontier to the neighbours, instead of pulling, when
+# the frontier's rows hold at most 1/_PUSH_SHARE of the adjacency entries.
+_PUSH_SHARE = 8
 
 
 class ExplicitGraph:
@@ -254,6 +259,127 @@ def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
     return dist
 
 
+def _source_ids(g: ExplicitGraph, sources: Iterable[int] | None) -> np.ndarray:
+    """The sources as int64 vertex ids, every vertex when None; BadVertex outside 0..n-1."""
+    if sources is None:
+        return np.arange(g.n, dtype=np.int64)
+    srcs = np.asarray(list(sources), dtype=np.int64)
+    if srcs.size and (srcs.min() < 0 or srcs.max() >= g.n):
+        raise BadVertex(f"source outside 0..{g.n - 1}")
+    return srcs
+
+
+def _pull_blocks(g: ExplicitGraph) -> list[tuple[int, int, slice | np.ndarray, np.ndarray]]:
+    """Runs of CSR rows with at most _PULL_BLOCK adjacency entries, or one longer row.
+
+    Each block is (first entry, end entry, its rows that have neighbours as a
+    slice or an index array, their first entries counted from the block's).
+    Blocks with no entries are left out.
+    """
+    indptr = g.indptr
+    has_nbrs = np.diff(indptr) > 0
+    blocks = []
+    lo = 0
+    while lo < g.n:
+        hi = int(np.searchsorted(indptr, indptr[lo] + _PULL_BLOCK, side="right")) - 1
+        hi = min(max(hi, lo + 1), g.n)
+        nz = has_nbrs[lo:hi]
+        if nz.any():
+            rows = slice(lo, hi) if nz.all() else np.flatnonzero(nz) + lo
+            start = int(indptr[lo])
+            blocks.append((start, int(indptr[hi]), rows, indptr[lo:hi][nz] - start))
+        lo = hi
+    return blocks
+
+
+def _pull(g: ExplicitGraph, front: np.ndarray, blocks, reached: np.ndarray) -> None:
+    """Set reached[v] to the OR of front over v's neighbours, one block of rows at a time.
+
+    A block's gathered words and numpy's intp copy of its int32 indices stay
+    in cache, where one gather over all 2m entries makes both afresh in
+    memory.  Rows without neighbours are not written.
+    """
+    for start, end, rows, starts in blocks:
+        reached[rows] = np.bitwise_or.reduceat(np.take(front, g.indices[start:end]), starts)
+
+
+def _push(g: ExplicitGraph, hit: np.ndarray, words: np.ndarray, reached: np.ndarray) -> None:
+    """OR the words of vertices ``hit`` into their neighbours' entries of reached."""
+    starts = g.indptr[hit]
+    lengths = g.indptr[hit + 1] - starts
+    ends = np.cumsum(lengths)
+    entries = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    np.bitwise_or.at(reached, g.indices[entries], np.repeat(words, lengths))
+
+
+def _levels(g: ExplicitGraph, chunk: np.ndarray, degrees: np.ndarray,
+            blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each BFS level's frontier from up to 64 sources: (vertex ids, uint64 words).
+
+    Bit j of a frontier word says that source ``chunk[j]`` first reaches the
+    vertex at this level; level 0 holds the sources.  The sweep stops after
+    the level at which every vertex holds every source's bit, or when a level
+    reaches nothing new.
+    """
+    mask = np.uint64((1 << chunk.size) - 1)
+    seen = np.zeros(g.n, dtype=np.uint64)
+    np.bitwise_or.at(seen, chunk, np.uint64(1) << np.arange(chunk.size, dtype=np.uint64))
+    front = seen.copy()
+    reached = np.zeros(g.n, dtype=np.uint64)
+    hit = np.flatnonzero(seen)
+    words = seen[hit]
+    while True:
+        yield hit, words
+        # A word holds no bit outside the mask, so the minimum reaches it only
+        # when every vertex has every bit.
+        if seen.min() == mask:
+            return
+        if int(degrees[hit].sum()) * _PUSH_SHARE <= g.indices.size:
+            _push(g, hit, words, reached)
+        else:
+            _pull(g, front, blocks, reached)
+        # What reached keeps from earlier levels is all in seen already.
+        np.bitwise_and(reached, ~seen, out=front)
+        seen |= front
+        hit = np.flatnonzero(front)
+        if not hit.size:
+            return
+        words = front[hit]
+
+
+def _scan(g: ExplicitGraph, srcs: np.ndarray, rows: bool):
+    """Yield (chunk, counts, rows or None) for each chunk of up to 64 sources.
+
+    ``counts[i, L]`` is the number of level-L frontier words holding source
+    i's bit, so the vertices at distance exactly L; ``rows`` (when asked for)
+    is the int32 distance rows of :func:`iter_distance_rows`.
+    """
+    degrees = g.degrees()
+    blocks = _pull_blocks(g)
+    for lo in range(0, srcs.size, 64):
+        chunk = srcs[lo:lo + 64]
+        width = chunk.size
+        counts = []
+        if rows:
+            # Vertex-major while sweeping, so a level rewrites just the vertices it reached.
+            dist = np.full((g.n, width), -1, dtype=np.int32)
+        for level, (hit, words) in enumerate(_levels(g, chunk, degrees, blocks)):
+            # Bit j of a word is source j: its little-endian bytes, unpacked low
+            # bit first, give each frontier vertex one 0/1 byte per source in order.
+            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+            # Summed as uint64 words, blocks of at most 255 vertices add the
+            # 0/1 bytes of all 64 sources at once without a carry between them.
+            packed = np.add.reduceat(bits.view(np.uint64).reshape(hit.size, 8),
+                                     np.arange(0, hit.size, 255), axis=0)
+            counts.append(packed.view(np.uint8).reshape(-1, 64).sum(axis=0)[:width])
+            if rows:
+                block = dist[hit]
+                block[bits.view(bool).reshape(hit.size, 64)[:, :width]] = level
+                dist[hit] = block
+        counts = np.array(counts, dtype=np.int32).T
+        yield chunk, counts, np.ascontiguousarray(dist.T) if rows else None
+
+
 def iter_distance_rows(
     g: ExplicitGraph, sources: Iterable[int] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -261,43 +387,35 @@ def iter_distance_rows(
 
     Bit-parallel multi-source BFS (Then et al., VLDB 2014): a chunk of up to 64
     sources keeps one bit per source in a uint64 word per vertex, so one BFS
-    level for all of them is a gather over the CSR neighbor lists and an OR per
-    vertex.  A source's row holds the level at which its bit reached each vertex.
+    level for all of them is one step over the CSR adjacency.  A level whose
+    frontier rows hold a small share of the adjacency entries pushes its words
+    to their neighbours; any other pulls, ORing each vertex's neighbours' words
+    over cache-sized blocks of rows (the direction switch of Beamer et al.,
+    *Direction-Optimizing Breadth-First Search*, SC 2012).  A chunk stops once
+    every vertex holds every source's bit.  A source's row holds the level at
+    which its bit reached each vertex.
     """
-    if sources is None:
-        srcs = np.arange(g.n, dtype=np.int64)
-    else:
-        srcs = np.asarray(list(sources), dtype=np.int64)
-    if srcs.size and (srcs.min() < 0 or srcs.max() >= g.n):
-        raise BadVertex(f"source outside 0..{g.n - 1}")
-    # reduceat needs in-range, non-empty segments: OR only over vertices with neighbors.
-    has_nbrs = np.diff(g.indptr) > 0
-    starts = g.indptr[:-1][has_nbrs]
-    shifts = np.arange(64, dtype=np.uint64)
-    for lo in range(0, srcs.size, 64):
-        chunk = srcs[lo:lo + 64]
-        width = chunk.size
-        seen = np.zeros(g.n, dtype=np.uint64)
-        np.bitwise_or.at(seen, chunk, np.uint64(1) << shifts[:width])
-        # Vertex-major while sweeping, so a level rewrites just the vertices it reached.
-        dist = np.full((g.n, width), -1, dtype=np.int32)
-        dist[chunk, np.arange(width)] = 0
-        front = seen
-        level = 0
-        while front.any():
-            level += 1
-            reached = np.zeros(g.n, dtype=np.uint64)
-            reached[has_nbrs] = np.bitwise_or.reduceat(front[g.indices], starts)
-            front = reached & ~seen
-            seen = seen | front
-            hit = np.flatnonzero(front)
-            # Bit j of a word is source j: its little-endian bytes, unpacked low
-            # bit first, give each reached vertex one flag per source in order.
-            bits = np.unpackbits(front[hit].astype("<u8").view(np.uint8), bitorder="little")
-            block = dist[hit]
-            block[bits.view(bool).reshape(hit.size, 64)[:, :width]] = level
-            dist[hit] = block
-        yield chunk, np.ascontiguousarray(dist.T)
+    for chunk, _, rows in _scan(g, _source_ids(g, sources), rows=True):
+        yield chunk, rows
+
+
+def _class_ids(g: ExplicitGraph) -> np.ndarray:
+    """The sources of the all-source table: one per class of ``g.classes``, else every vertex."""
+    return np.arange(g.n, dtype=np.int64) if g.classes is None else _sorted_unique(g.classes)
+
+
+def _tabulate(g: ExplicitGraph, chunks: list[tuple[np.ndarray, np.ndarray]]):
+    """The (ids, table, connected) result of per-chunk (chunk, counts) pairs."""
+    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [chunk for chunk, _ in chunks])
+    table = np.zeros((ids.size, max((c.shape[1] for _, c in chunks), default=1)), dtype=np.int32)
+    lo = 0
+    for _, counts in chunks:
+        table[lo:lo + len(counts), :counts.shape[1]] = counts
+        lo += len(counts)
+    connected = bool((table.sum(axis=1) == g.n).all())
+    ids.setflags(write=False)
+    table.setflags(write=False)
+    return ids, table, connected
 
 
 def distance_histograms(
@@ -313,33 +431,31 @@ def distance_histograms(
     result is kept on the graph, so later calls (and every all-source
     analysis) reuse one sweep; a call naming sources neither reads nor
     stores it.
+
+    The counts come straight from the sweep of :func:`iter_distance_rows`,
+    push and pull steps alike (Beamer et al., SC 2012): ``table[i, L]`` is the
+    number of level-L frontier words with bit i set, so no distance row is made.
     """
     if sources is None and g._histograms is not None:
         return g._histograms
-    scan = sources
-    if sources is None and g.classes is not None:
-        scan = _sorted_unique(g.classes)
-    # Row i's distance v lands in bin i * span + v + 1, so column 0 counts its -1s.
-    ids, counts = [np.zeros(0, dtype=np.int64)], []
-    for chunk, rows in iter_distance_rows(g, sources=scan):
-        span = int(rows.max()) + 2
-        offsets = np.arange(len(rows), dtype=np.int32)[:, None] * span + 1
-        binned = np.bincount((rows + offsets).ravel(), minlength=len(rows) * span)
-        ids.append(chunk)
-        counts.append(binned.reshape(-1, span).astype(np.int32))
-    full = np.zeros((sum(map(len, counts)), max((c.shape[1] for c in counts), default=2)),
-                    dtype=np.int32)
-    lo = 0
-    for c in counts:
-        full[lo:lo + len(c), :c.shape[1]] = c
-        lo += len(c)
-    full.setflags(write=False)
-    ids = np.concatenate(ids)
-    ids.setflags(write=False)
-    result = (ids, full[:, 1:], not full[:, 0].any())
+    srcs = _class_ids(g) if sources is None else _source_ids(g, sources)
+    result = _tabulate(g, [(chunk, counts) for chunk, counts, _ in _scan(g, srcs, rows=False)])
     if sources is None:
         g._histograms = result
     return result
+
+
+def _class_rows(g: ExplicitGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(source ids, int32 distance rows) chunks from the sources of the all-source table.
+
+    The same sweep fills the table :func:`distance_histograms` keeps, which
+    is stored once the last chunk has been taken.
+    """
+    chunks = []
+    for chunk, counts, rows in _scan(g, _class_ids(g), rows=True):
+        chunks.append((chunk, counts))
+        yield chunk, rows
+    g._histograms = _tabulate(g, chunks)
 
 
 def diameter(g: ExplicitGraph) -> tuple[int, bool]:

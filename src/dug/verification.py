@@ -46,11 +46,7 @@ from .analyze import (
     check_neighborhood_growth,
     check_upper_bound,
 )
-from .graph import (
-    build_explicit,
-    diameter,
-    iter_distance_rows,
-)
+from .graph import _class_rows, build_explicit, diameter
 from .hanoi import (
     DEFAULT_STATE_CAP,
     INVOLUTE,
@@ -306,10 +302,12 @@ def run_verify_suite(
 
         sources, pair_a, pair_b, distinct = orbits
         # Distances from the state-orbit representatives, gathered per pair
-        # representative; the rows themselves are dropped chunk by chunk.
+        # representative; the rows themselves are dropped chunk by chunk.  The
+        # canonical states are the classes of gp, so the sweep that yields
+        # these rows also fills the histogram table the analyses below read.
         pair_dist = np.empty(pair_a.size, dtype=np.int32)
         lo = 0
-        for chunk, rows in iter_distance_rows(gp, sources):
+        for chunk, rows in _class_rows(gp):
             s, e = np.searchsorted(pair_a, [lo, lo + chunk.size])
             pair_dist[s:e] = rows[pair_a[s:e] - lo, pair_b[s:e]]
             lo += chunk.size
@@ -366,8 +364,8 @@ def run_verify_suite(
 
         # Uniformity claim of the construction: at critical distance 2^k - 1
         # the achieved epsilon is at most k^2/r (vacuous when k^2/r >= 1).
-        # It is read from the table best_uniformity keeps, one row per state
-        # orbit, from the same canonical states.
+        # It is read from the table the pair-distance sweep kept, one row per
+        # state orbit.
         report = best_uniformity(gp)
         eps_at_target = _epsilon_at(gp, target)
         claim = Fraction(k * k, r)
@@ -378,7 +376,7 @@ def run_verify_suite(
         detail += f"; best report d={report.d} eps={report.epsilon}"
         results.append(CheckResult("uniformity eps <= k^2/r at d = 2^k - 1", ok, detail))
 
-        # Diameter, from the distance table best_uniformity kept.
+        # Diameter, from the same kept table.
         diam, connected = diameter(gp)
         if r >= k + 1:
             ok = diam == target

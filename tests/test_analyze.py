@@ -261,18 +261,16 @@ class TestGrowth:
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """Rows each later scan yields, counted in every dug module that binds the scan."""
+    """Sources each later level sweep scans, counted per chunk of dug.graph._scan."""
     counts = []
-    real = dug.graph.iter_distance_rows
+    real = dug.graph._scan
 
-    def counting(g, sources=None):
-        for chunk, rows in real(g, sources):
-            counts.append(len(rows))
-            yield chunk, rows
+    def counting(g, srcs, rows):
+        for chunk, table, dist in real(g, srcs, rows):
+            counts.append(len(chunk))
+            yield chunk, table, dist
 
-    for module in (dug, dug.graph, dug.analyze, dug.verification):
-        if getattr(module, "iter_distance_rows", None) is real:
-            monkeypatch.setattr(module, "iter_distance_rows", counting)
+    monkeypatch.setattr(dug.graph, "_scan", counting)
     return counts
 
 

@@ -29,6 +29,7 @@ from dug import (
     state_index,
 )
 
+import dug.graph
 from dug.graph import _canonical_edges, _edge_lines, _parse_lines
 
 from conftest import move_adjacency, traced_peak
@@ -315,6 +316,103 @@ class TestDistanceHistograms:
         ids, table, connected = distance_histograms(ExplicitGraph.from_edges(0, []))
         assert ids.size == 0 and table.shape == (0, 1) and connected
         assert diameter(ExplicitGraph.from_edges(0, [])) == (0, True)
+
+
+# Step directions and pull blocks forced through the module constants: every
+# level pushes; every level whose frontier has adjacency entries pulls; and
+# pulls gather 3 entries at a time, so a star's centre row spans several.
+SWEEP_MODES = {
+    "default": {},
+    "push": {"_PUSH_SHARE": 0},
+    "pull": {"_PUSH_SHARE": 1 << 62},
+    "tiny-blocks": {"_PUSH_SHARE": 1 << 62, "_PULL_BLOCK": 3},
+}
+
+SWEEP_GRAPHS = {
+    "edgeless": lambda: ExplicitGraph.from_edges(4, []),
+    # isolated vertices as the first, a middle and the last CSR row
+    "isolated": lambda: ExplicitGraph.from_edges(6, [(1, 3), (3, 4)]),
+    "disconnected": lambda: ExplicitGraph.from_edges(
+        9, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)]),
+    # 299 leaves: one level's frontier spans two 255-vertex count blocks
+    "star": lambda: ExplicitGraph.from_edges(300, [(0, v) for v in range(1, 300)]),
+    "path": lambda: path_graph(70),
+    # a Hanoi graph with no classes, so that every vertex is its own source
+    "hanoi": lambda: ExplicitGraph.from_edges(80, build_explicit(HanoiParams(4, 3)).edge_array()),
+}
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Names of the level steps later sweeps take, in order."""
+    taken = []
+    for name in ("_push", "_pull"):
+        def counting(*args, real=getattr(dug.graph, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(dug.graph, name, counting)
+    return taken
+
+
+def force_mode(monkeypatch, mode):
+    for name, value in SWEEP_MODES[mode].items():
+        monkeypatch.setattr(dug.graph, name, value)
+
+
+class TestLevelSweep:
+    @pytest.mark.parametrize("graph", SWEEP_GRAPHS)
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_rows_and_histograms_match_bfs(self, monkeypatch, steps, mode, graph):
+        force_mode(monkeypatch, mode)
+        g = SWEEP_GRAPHS[graph]()
+        rng = np.random.default_rng(5)
+        # chunks of width 1, 63, 64 and 65 (64 + 1), duplicates, and every vertex
+        source_lists = [rng.integers(0, g.n, w).tolist() for w in (1, 63, 64, 65)]
+        source_lists += [[0, 0, g.n - 1, 0], None]
+        for sources in source_lists:
+            srcs = list(range(g.n)) if sources is None else sources
+            want = np.stack([bfs_distances(g, s) for s in srcs])
+            chunks = list(iter_distance_rows(g, sources))
+            assert [c.size for c, _ in chunks] == [min(64, len(srcs) - lo)
+                                                   for lo in range(0, len(srcs), 64)]
+            assert np.concatenate([c for c, _ in chunks]).tolist() == srcs
+            rows = np.concatenate([r for _, r in chunks])
+            assert rows.dtype == np.int32 and np.array_equal(rows, want)
+            ids, table, connected = distance_histograms(g, sources)
+            width = int(want.max()) + 1
+            assert ids.tolist() == srcs
+            assert table.dtype == np.int32
+            assert table.tolist() == [np.bincount(row[row >= 0], minlength=width).tolist()
+                                      for row in want]
+            assert connected == bool((want >= 0).all())
+        if mode == "push":
+            assert "_pull" not in steps
+        elif mode != "default" and g.m:
+            assert "_pull" in steps
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_chunk_stops_at_full_coverage(self, monkeypatch, steps, mode):
+        force_mode(monkeypatch, mode)
+        disconnected = SWEEP_GRAPHS["disconnected"]()
+        cases = [
+            # connected: as many steps as the chunk's largest eccentricity
+            (path_graph(10), [3], 6),
+            (path_graph(10), [0, 9], 9),
+            (path_graph(10), [4, 5, 4], 5),
+            (complete_graph(5), range(5), 1),
+            (ExplicitGraph.from_edges(1, []), [0, 0], 0),
+            # disconnected: one more step, which finds an empty frontier
+            (disconnected, [2], 3),
+            (disconnected, [0, 5], 4),
+            (ExplicitGraph.from_edges(3, []), [1], 1),
+        ]
+        for g, sources, want in cases:
+            steps.clear()
+            list(iter_distance_rows(g, sources))
+            assert len(steps) == want, (g, sources)
+            steps.clear()
+            distance_histograms(g, sources)
+            assert len(steps) == want, (g, sources)
 
 
 class TestDiameter:

@@ -695,6 +695,46 @@ def test_solver_row_needs_every_orbit(monkeypatch):
 
 
 @pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
+def test_pair_orbit_sources_are_the_class_representatives(r, k):
+    """The suite's pair distances come from the sweep of the classes' representatives."""
+    params = HanoiParams(r, k, proper=True)
+    sources = _pair_orbits(state_matrix(params))[0]
+    assert sources.tolist() == np.unique(build_explicit(params).classes).tolist()
+
+
+def test_suite_sweeps_the_proper_graph_once(monkeypatch, capsys):
+    built, scans = {}, Counter()
+    real_build, real_scan = dug.verification.build_explicit, dug.graph._scan
+
+    def spy(params, cap=DEFAULT_STATE_CAP):
+        built[params] = g = real_build(params, cap)
+        return g
+
+    def counting(g, srcs, rows):
+        scans[id(g)] += 1
+        return real_scan(g, srcs, rows)
+
+    monkeypatch.setattr(dug.verification, "build_explicit", spy)
+    monkeypatch.setattr(dug.graph, "_scan", counting)
+    argv = ["verify", "--r", "4", "--k", "3"]
+    assert cli_dispatch(argv) == 0
+    stdout = capsys.readouterr().out
+    gp = built[HanoiParams(4, 3, proper=True)]
+    assert scans == {id(gp): 1}
+    # the table the pair-distance sweep kept is the one a fresh sweep makes
+    ids, table, connected = gp._histograms
+    fresh_ids, fresh, fresh_connected = dug.graph.distance_histograms(
+        build_explicit(HanoiParams(4, 3, proper=True)))
+    assert np.array_equal(ids, fresh_ids) and connected == fresh_connected
+    assert table.dtype == fresh.dtype and np.array_equal(table, fresh)
+    # and stdout is byte for byte that of a suite whose analyses sweep again
+    monkeypatch.setattr(dug.verification, "_class_rows",
+                        lambda g: iter_distance_rows(g, np.unique(g.classes)))
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
 def test_pair_orbits_are_counted_before_they_are_listed(r, k):
     states = state_matrix(HanoiParams(r, k, proper=True))
     count = len(_pair_orbits(states)[1])

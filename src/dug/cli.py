@@ -30,6 +30,14 @@ def fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
+def bits(text: str) -> int:
+    """argparse type for --cap BITS: the cap is 2^BITS, so a negative count is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dug",
@@ -43,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True, help="state length")
     g.add_argument("--proper", action="store_true", help="proper states only (first entry nonzero)")
     g.add_argument("--out", required=True, help="output edge-list path")
-    g.add_argument("--cap", type=int, default=26, metavar="BITS", help="state/edge cap = 2^BITS")
+    g.add_argument("--cap", type=bits, default=26, metavar="BITS", help="state/edge cap = 2^BITS")
     g.add_argument("--json", action="store_true")
 
     a = sub.add_parser("analyze", help="distance-uniformity analysis of an edge-list graph")
@@ -70,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--r", type=int, required=True)
     t.add_argument("--k", type=int, required=True, help="label length; k-1 truncations")
     t.add_argument("--out", required=True)
-    t.add_argument("--cap", type=int, default=26, metavar="BITS")
+    t.add_argument("--cap", type=bits, default=26, metavar="BITS")
     t.add_argument("--json", action="store_true")
 
     b = sub.add_parser("blowup", help="blow a graph up to a target vertex count")
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the full verification suite for one (r, k)")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--k", type=int, required=True)
-    v.add_argument("--cap", type=int, default=26, metavar="BITS")
+    v.add_argument("--cap", type=bits, default=26, metavar="BITS")
     v.add_argument("--sample-pairs", type=int, default=None,
                    help="replay at most this many pair orbits, evenly sampled "
                         "(default: every orbit, which covers all pairs)")

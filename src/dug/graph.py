@@ -96,8 +96,10 @@ class ExplicitGraph:
     def from_edges(cls, n: int, edges, labels=None) -> "ExplicitGraph":
         """Build and validate a graph from an iterable (or array) of (u, v) pairs.
 
-        An integer array is read as it is, with no widening copy; the only
-        full-size temporary is one int64 key per adjacency entry.
+        It serves edge lists, from the file loader and from tests; the
+        builders (Hanoi graphs, blow-ups, truncations) write their CSR
+        directly.  An integer array is read as it is, with no widening copy;
+        the only full-size temporary is one int64 key per adjacency entry.
         """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")

@@ -126,6 +126,21 @@ def make_state(entries, params: HanoiParams) -> State:
     return state
 
 
+def _valid_rows(states: np.ndarray, params: HanoiParams) -> bool:
+    """True when every row is a state ``make_state`` accepts under ``params``.
+
+    Rows hold k integer entries in 0..r with no two consecutive equal, and a
+    proper row does not start with 0.
+    """
+    return bool(
+        states.dtype.kind in "iu"
+        and states.shape[1] == params.k
+        and ((states >= 0) & (states <= params.r)).all()
+        and (states[:, 1:] != states[:, :-1]).all()
+        and not (params.proper and (states[:, 0] == 0).any())
+    )
+
+
 def involution_segment(x: State) -> int:
     """Return the 1-based start j of the longest tail segment alternating in the last two values.
 

@@ -55,6 +55,7 @@ from .hanoi import (
     _first_appearance,
     _move_ranks,
     _sorted_unique,
+    _valid_rows,
     apply_move,
     encode_states,
     legal_moves,
@@ -104,20 +105,6 @@ def _pair_orbits(states: np.ndarray, cap: int = DEFAULT_STATE_CAP):
 def _pairs_covered(r: int, distinct: np.ndarray) -> int:
     """Ordered pairs in the orbits of representatives with these distinct-value counts."""
     return sum(math.perm(r, m) * int(c) for m, c in enumerate(np.bincount(distinct)))
-
-
-def _valid_rows(states: np.ndarray, params: HanoiParams) -> bool:
-    """True when every row is a state ``make_state`` accepts under ``params``.
-
-    Rows hold k entries in 0..r with no two consecutive equal, and a proper
-    row does not start with 0.
-    """
-    return bool(
-        states.shape[1] == params.k
-        and ((states >= 0) & (states <= params.r)).all()
-        and (states[:, 1:] != states[:, :-1]).all()
-        and not (params.proper and (states[:, 0] == 0).any())
-    )
 
 
 def _renamings(params: HanoiParams) -> list[np.ndarray]:

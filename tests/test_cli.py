@@ -109,6 +109,19 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert errors == [f"dug {argv[0]}: error: argument --epsilon: zero denominator in '1/0'"]
 
 
+@pytest.mark.parametrize("command", ["generate", "truncate", "verify"])
+def test_negative_cap_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "g.dug"
+    argv = [command, "--r", "3", "--k", "2", "--cap", "-1"]
+    if command != "verify":
+        argv += ["--out", str(out)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    errors = [line for line in stderr.splitlines() if "error" in line]
+    assert errors == [f"dug {command}: error: argument --cap: must be >= 0, got -1"]
+    assert not out.exists()
+
+
 def test_solve_disjoint_pair(capsys):
     code, stdout, _ = run(
         capsys, "solve", "--r", "5", "--k", "4",

@@ -211,6 +211,12 @@ class TestBuildExplicit:
         peak = traced_peak(lambda: built.append(build_explicit(p)))
         assert peak <= 32 * built[0].m
 
+    def test_truncation_memory_per_edge(self):
+        # the CSR written straight from the parent's: about 20 B per edge, labels included
+        built = []
+        peak = traced_peak(lambda: built.append(iterate_truncation(64, 2)))
+        assert peak <= 32 * built[0].graph.m
+
     def test_only_built_graphs_carry_a_class_index(self, tmp_path):
         g = build_explicit(HanoiParams(4, 3, proper=True))
         # the canonical states 1,0,1 1,0,2 1,2,0 1,2,1 1,2,3 are vertices 0, 1, 4, 5, 6

@@ -100,17 +100,32 @@ class TestTruncateOnce:
         with pytest.raises(EmptyGraph):
             truncate_once(LabeledGraph(g, ((0,),), r=1))
 
-    @pytest.mark.parametrize("n,edges", [
-        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # path
-        (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),  # star
-        (5, [(0, 1), (1, 2), (0, 2), (2, 4)]),  # vertex 3 isolated
-    ], ids=["path", "star", "isolated"])
-    def test_matches_reference(self, n, edges):
+    @pytest.mark.parametrize("n,edges,steps", [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], 2),  # path
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 2),  # star
+        (5, [(0, 1), (1, 2), (0, 2), (2, 4)], 2),  # vertex 3 isolated
+        # K_{r+1} truncated as iterate_truncation does, to (r, k) = (2, 5), (3, 5) and (4, 4)
+        (3, list(combinations(range(3), 2)), 4),
+        (4, list(combinations(range(4), 2)), 4),
+        (5, list(combinations(range(5), 2)), 3),
+    ], ids=["path", "star", "isolated", "K3", "K4", "K5"])
+    def test_matches_reference(self, n, edges, steps):
         t = labeled(n, edges)
-        for _ in range(2):
+        for _ in range(steps):
             want = reference_truncate_once(t)
             t = truncate_once(t)
             assert t == want
+
+    @pytest.mark.parametrize("states,edges,message", [
+        # (0,1)'s entries into (2,3) and (0,3) would both be labeled 0,1,3
+        (((0, 1), (2, 3), (0, 3)), [(0, 1), (0, 2)], "^states are not distinct$"),
+        # (0,2)'s entry into (1,2) would be labeled 0,2,2
+        (((0, 2), (1, 2)), [(0, 1)], "^states are not Hanoi states of one length over 0..3$"),
+    ], ids=["repeated", "consecutive-equal"])
+    def test_refuses_invalid_labels(self, states, edges, message):
+        g = ExplicitGraph.from_edges(len(states), edges, [format_state(s) for s in states])
+        with pytest.raises(ValueError, match=message):
+            truncate_once(LabeledGraph(g, states, r=3))
 
     @settings(max_examples=100, deadline=None)
     @given(labeled_graphs())
@@ -153,6 +168,12 @@ class TestIterate:
     def test_cap(self):
         with pytest.raises(TooLarge):
             iterate_truncation(6, 4, cap=100)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            iterate_truncation(3, 0)
+        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+            iterate_truncation(0, 2)
 
     def test_edge_cap(self):
         # 72 vertices are within the cap, their 288 edges are not
@@ -265,3 +286,9 @@ class TestIsomorphism:
             LabeledGraph(g, ((0,),), r=1)  # wrong count
         with pytest.raises(ValueError):
             LabeledGraph(g, ((0,), (0,)), r=1)  # duplicate states
+        with pytest.raises(ValueError, match="^a labeled graph needs at least one vertex$"):
+            LabeledGraph(ExplicitGraph.from_edges(0, []), (), r=1)
+        for states in (((0,), (2,)), ((0,), (1.0,)), ((0, 1), (1, 1)), ((0,), (1, 0))):
+            # outside 0..r, not an integer, equal entries side by side, lengths differ
+            with pytest.raises(ValueError):
+                LabeledGraph(g, states, r=1)

@@ -219,6 +219,7 @@ def test_valid_rows():
         states[5] = row
         assert not _valid_rows(states, proper), row
     assert not _valid_rows(state_matrix(HanoiParams(3, 2, proper=True)), proper)  # k = 2
+    assert not _valid_rows(state_matrix(proper).astype(float), proper)  # not integers
 
 
 def test_invalid_states_fail_the_state_counts_row(monkeypatch):

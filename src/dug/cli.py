@@ -99,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sample_sources(n: int, count: int | None):
-    if count is not None and count < 1:
-        raise ValueError(f"source sample must be at least 1, got {count}")
     if count is None or count >= n:
         return None
     picked = _sorted_unique(np.linspace(0, n - 1, count).round().astype(np.int64))
@@ -123,10 +121,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g = load_edge_list(args.infile)
     if (args.epsilon is None) != (args.d is None):
         print("error: --epsilon and --d must be given together", file=sys.stderr)
         return 2
+    # Flag errors come before the file is read; --sources serves only the
+    # best-epsilon report.
+    if args.epsilon is None and args.sources is not None and args.sources < 1:
+        raise ValueError(f"source sample must be at least 1, got {args.sources}")
+    g = load_edge_list(args.infile)
     if args.epsilon is not None:
         ok = is_distance_uniform(g, args.epsilon, args.d)
         if args.json:

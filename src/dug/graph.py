@@ -98,8 +98,9 @@ class ExplicitGraph:
 
         It serves edge lists, from the file loader and from tests; the
         builders (Hanoi graphs, blow-ups, truncations) write their CSR
-        directly.  An integer array is read as it is, with no widening copy;
-        the only full-size temporary is one int64 key per adjacency entry.
+        directly.  An integer array is read as it is, with no widening copy.
+        The sort keys, one per adjacency entry, are uint32 up to n = 2^16 and
+        then become the int32 indices in place; above that they are int64.
         """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -127,23 +128,26 @@ class ExplicitGraph:
         # lo * (n + 1) + (hi - lo) is lo * n + hi, and adding (hi - lo) * (n - 1)
         # to that gives hi * n + lo.
         m = len(arr)
-        key = np.empty(2 * m, dtype=np.int64)
+        kt = np.uint32 if n * n <= 1 << 32 else np.int64
+        key = np.empty(2 * m, dtype=kt)
         lo, hi = key[:m], key[m:]
-        np.minimum(u, v, out=lo)
-        np.maximum(u, v, out=hi)
+        np.minimum(u, v, out=lo, casting="unsafe")
+        np.maximum(u, v, out=hi, casting="unsafe")
         hi -= lo
-        lo *= n + 1
+        lo *= kt(n + 1)
         lo += hi
-        hi *= n - 1
+        hi *= kt(max(n - 1, 0))
         hi += lo
         key.sort()
         if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate edge in edge list")
-        # Row w's entries are the keys in [w * n, (w + 1) * n).
-        indptr = np.arange(n + 1, dtype=np.int64)
-        indptr *= n
-        indptr = np.searchsorted(key, indptr)
-        indices = np.remainder(key, n, out=key).astype(np.int32)
+        # Row w's entries are the keys in [w * n, (w + 1) * n).  The bounds are
+        # searched as kt, which n * n itself may overflow, so no key is widened.
+        indptr = np.empty(n + 1, dtype=np.int64)
+        indptr[:n] = np.searchsorted(key, np.arange(n, dtype=kt) * kt(n))
+        indptr[n] = 2 * m
+        np.remainder(key, n, out=key)
+        indices = key.view(np.int32) if kt is np.uint32 else key.astype(np.int32)
         return cls(n, indptr, indices, labels)
 
     @property
@@ -612,7 +616,9 @@ def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
     temporaries stay that small whatever the file's size.  In a chunk, the
     bytes <= 32 must be space, space, '\\n' on each line, each line's first
     space must be its second byte and follow an 'e', and every other byte
-    must be a digit.
+    must be a digit.  A chunk is taken column-major: its u tokens, then its
+    v tokens, are decoded as one flat run into the chunk's columns of one
+    (2, m) array, sized by the newline count, whose transpose is returned.
 
     A token is decoded with the SWAR digit trick (Langdale & Lemire, *Parsing
     gigabytes of JSON per second*, VLDB J. 2019): one little-endian 8-byte
@@ -624,7 +630,7 @@ def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
     """
     if start < 8 or not data.endswith(b"\n"):
         return None
-    edges = np.empty((data.count(b"\n", start), 2), dtype=np.int32)
+    edges = np.empty((2, data.count(b"\n", start)), dtype=np.int32)
     # words[i] is the little-endian uint64 of data[i:i + 8].
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
     row = 0
@@ -635,25 +641,25 @@ def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
         k = seps.size // 3
         if seps.size != 3 * k:
             return None
-        # gap[i, j] is the number of bytes between separator j of line i and
-        # the next separator, less 1: a token's digit count less 1 and, after
-        # a newline, 0 when only the next line's 'e' comes before its space.
-        # The chunk's last newline gets 0; the next chunk checks its own start.
-        gap = np.zeros(3 * k, dtype=np.int64)
-        np.subtract(seps[1:], seps[:-1], out=gap[:-1])
-        gap[:-1] -= 2
-        seps = seps.reshape(k, 3)
+        # s[j, i] is separator j of line i.  Token j of line i (u, then v) ends
+        # just before s[j + 1, i]; lens is its digit count less 1.  A newline
+        # is 2 bytes before the next line's first space when only that line's
+        # 'e' lies between them; the next chunk checks its own first line.
+        s = seps.reshape(k, 3).T
+        ends = np.add(s[1:], start - 8, order="C")
+        lens = np.subtract(s[1:], s[:2], order="C")
+        lens -= 2
         # With one newline per line, the 2k other separators are the 2k spaces.
-        if not (seps[0, 0] == 1 and (gap.view(np.uint64) < _MAX_DIGITS).all()
-                and not gap.reshape(k, 3)[:, 2].any()
-                and (chars[seps[:, 2]] == ord("\n")).all()
+        if not (s[0, 0] == 1 and (lens.view(np.uint64) < _MAX_DIGITS).all()
+                and (s[0, 1:] - s[2, :-1] == 2).all()
+                and (chars[s[2]] == ord("\n")).all()
                 and np.count_nonzero(chars == ord(" ")) == 2 * k
-                and (chars[seps[:, 0] - 1] == ord("e")).all()
+                and (chars[s[0] - 1] == ord("e")).all()
                 and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * k):
             return None
-        x = words[seps[:, 1:] + (start - 8)]
+        x = words[ends.ravel()]
         x ^= _ZERO_CHARS
-        x &= _KEEP[gap].reshape(k, 3)[:, :2]
+        x &= _KEEP[lens.ravel()]
         x *= np.uint64(10 << 8 | 1)
         x >>= np.uint64(8)
         x &= np.uint64(0x00FF00FF00FF00FF)
@@ -662,12 +668,13 @@ def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
         x &= np.uint64(0x0000FFFF0000FFFF)
         x *= np.uint64(10000 << 32 | 1)
         x >>= np.uint64(32)
-        if not (x[:, 0] < x[:, 1]).all():
+        x = x.reshape(2, k)
+        if not (x[0] < x[1]).all():
             return None
-        edges[row:row + k] = x
+        edges[:, row:row + k] = x
         row += k
         start = stop
-    return edges
+    return edges.T
 
 
 def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:

@@ -96,6 +96,17 @@ def test_analyze_refuses_empty_source_sample(tmp_path, capsys, count):
     assert stderr == f"error: source sample must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "1/4"], "error: --epsilon and --d must be given together\n"),
+    (["--d", "2"], "error: --epsilon and --d must be given together\n"),
+    (["--sources", "0"], "error: source sample must be at least 1, got 0\n"),
+], ids=["epsilon-alone", "d-alone", "no-sources"])
+def test_analyze_flag_errors_come_before_the_file(tmp_path, capsys, flags, message):
+    # the input does not exist, so any attempt to read it would report that instead
+    code, stdout, stderr = run(capsys, "analyze", "--in", str(tmp_path / "absent.dug"), *flags)
+    assert code == 2 and stdout == "" and stderr == message
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--in", "g.el", "--epsilon", "1/0", "--d", "2"],
     ["plan", "--n", "100", "--epsilon", "1/0"],

@@ -81,6 +81,22 @@ def small_graphs(draw, max_n=6):
     return ExplicitGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), labels)
 
 
+def sorted_csr(n, edges):
+    """indptr and indices as lists, from each vertex's neighbour set sorted in Python."""
+    rows = [set() for _ in range(n)]
+    for a, b in edges:
+        rows[int(a)].add(int(b))
+        rows[int(b)].add(int(a))
+    return [0, *accumulate(map(len, rows))], [w for row in rows for w in sorted(row)]
+
+
+INTEGER_INPUTS = [
+    lambda e: e.astype(np.int32),
+    lambda e: e.astype(np.int64),
+    lambda e: e.astype(np.uint32),
+]
+
+
 class TestFromEdges:
     def test_basic(self):
         g = ExplicitGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -137,12 +153,7 @@ class TestFromEdges:
 
     @pytest.mark.parametrize(
         "make",
-        [
-            lambda e: e.astype(np.int32),
-            lambda e: e.astype(np.int64),
-            lambda e: e.astype(np.uint32),
-            lambda e: [tuple(p) for p in e.tolist()],
-        ],
+        [*INTEGER_INPUTS, lambda e: [tuple(p) for p in e.tolist()]],
         ids=["int32", "int64", "uint32", "list"],
     )
     def test_any_integer_input_matches_sorted_reference(self, make):
@@ -154,11 +165,21 @@ class TestFromEdges:
         swap = rng.random(len(edges)) < 0.5
         edges[swap] = edges[swap, ::-1]
         g = ExplicitGraph.from_edges(n, make(edges))
-        rows = [sorted({int(b) for a, b in edges if a == v} | {int(a) for a, b in edges if b == v})
-                for v in range(n)]
         assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
-        assert g.indptr.tolist() == [0, *accumulate(map(len, rows))]
-        assert g.indices.tolist() == [w for row in rows for w in row]
+        assert (g.indptr.tolist(), g.indices.tolist()) == sorted_csr(n, edges)
+
+    @pytest.mark.parametrize("make", INTEGER_INPUTS, ids=["int32", "int64", "uint32"])
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 65_535, 65_536, 65_537])
+    def test_key_width_boundary_matches_sorted_reference(self, n, flipped, make):
+        # keys row * n + col are uint32 up to n = 2^16 and int64 above
+        pairs = {(a, b) for a, b in [(0, n - 1), (n - 2, n - 1), (0, 1)] if 0 <= a < b < n}
+        edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        if flipped:
+            edges = edges[:, ::-1]
+        g = ExplicitGraph.from_edges(n, make(edges))
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        assert (g.indptr.tolist(), g.indices.tolist()) == sorted_csr(n, edges)
 
     @pytest.mark.parametrize("empty", [[], np.zeros((0, 2)), np.zeros(0, dtype=np.float32)],
                              ids=["list", "float64", "float32"])
@@ -783,6 +804,9 @@ def test_edge_list_io_memory_is_bounded(tmp_path):
     assert save_peak < 8_000_000
     assert load_peak <= 3 * size
     assert load_edge_list(f) == g
+    # from the bulk reader's int32 edges: 8 B per edge of uint32 keys, which become the indices
+    edges = g.edge_array().astype(np.int32)
+    assert traced_peak(lambda: ExplicitGraph.from_edges(g.n, edges)) <= 18 * g.m
 
 
 @pytest.mark.parametrize("n", [10**12, DEFAULT_STATE_CAP + 1])

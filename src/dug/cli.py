@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .analyze import best_uniformity, is_distance_uniform
-from .graph import blow_up, build_explicit, load_edge_list, save_edge_list
-from .hanoi import HanoiParams, _sorted_unique, make_state, parse_state
+from .graph import ExplicitGraph, blow_up, build_explicit, load_edge_list, save_edge_list
+from .hanoi import HanoiParams, _sorted_unique, format_state, make_state, parse_state
 from .planner import plan_parameters
 from .solver import format_path, solve, verify_path
 from .truncation import iterate_truncation
@@ -124,9 +124,8 @@ def _cmd_analyze(args) -> int:
     if (args.epsilon is None) != (args.d is None):
         print("error: --epsilon and --d must be given together", file=sys.stderr)
         return 2
-    # Flag errors come before the file is read; --sources serves only the
-    # best-epsilon report.
-    if args.epsilon is None and args.sources is not None and args.sources < 1:
+    # Flag errors come before the file is read, in either mode.
+    if args.sources is not None and args.sources < 1:
         raise ValueError(f"source sample must be at least 1, got {args.sources}")
     g = load_edge_list(args.infile)
     if args.epsilon is not None:
@@ -202,7 +201,9 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    return _write(iterate_truncation(args.r, args.k, cap=1 << args.cap).graph, args)
+    t = iterate_truncation(args.r, args.k, cap=1 << args.cap)
+    labels = tuple(map(format_state, t.states.tolist()))
+    return _write(ExplicitGraph(t.graph.n, t.graph.indptr, t.graph.indices, labels), args)
 
 
 def _cmd_blowup(args) -> int:

@@ -8,7 +8,9 @@ slicing the corners off a simplex-like polytope, kept purely combinatorial:
 no coordinates, no convex hulls.  truncate_once writes the new CSR straight
 from the old one: vertex (x, y) is the old CSR entry, its partner comes from
 one stable argsort of the old column indices, and each row comes out sorted,
-so no edge list is built or sorted (about 20 bytes per edge at r = 64).
+so no edge list is built or sorted (about 20 bytes per edge at r = 64).  The
+states stay one int32 matrix; the new graph has no labels, and ``dug
+truncate`` forms the label text only when it writes the file.
 
 Starting from the complete graph on r+1 labeled points and truncating k-1
 times yields a graph whose vertices are canonically labeled by all length-k
@@ -31,11 +33,10 @@ from .graph import ExplicitGraph, build_explicit
 from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
-    State,
     TooLarge,
+    _sorted_unique,
     _valid_rows,
     encode_states,
-    format_state,
 )
 
 
@@ -47,42 +48,65 @@ class WrongShape(ValueError):
     """Labeled graph does not match the given Hanoi parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledGraph:
-    """A graph whose vertices carry distinct Hanoi states of uniform length."""
+    """A graph whose vertices carry distinct Hanoi states of uniform length.
+
+    ``states`` is a read-only (n, k) int32 matrix whose row v is vertex v's
+    state; any (n, k) integer array-like is accepted.  Equality compares the
+    graph, r and the states' values; instances are not hashable.
+    """
 
     graph: ExplicitGraph
-    states: tuple[State, ...]
+    states: np.ndarray
     r: int
 
     def __post_init__(self) -> None:
-        if len(self.states) != self.graph.n:
+        S = np.asarray(self.states)
+        if len(S) != self.graph.n:
             raise ValueError("one state per vertex required")
-        if not self.states:
+        if not len(S):
             raise ValueError("a labeled graph needs at least one vertex")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("states are not distinct")
-        if not _valid_rows(np.array(self.states), HanoiParams(self.r, self.k)):
+        params = HanoiParams(self.r, S.shape[-1])
+        if S.ndim != 2 or not _valid_rows(S, params):
             raise ValueError(f"states are not Hanoi states of one length over 0..{self.r}")
+        if S.max() > np.iinfo(np.int32).max:
+            raise ValueError("state entries must fit in int32")
+        S = S.astype(np.int32, copy=False)
+        # Ranks are exact below 2^63 states; past that the rows are compared as tuples.
+        big = params.state_count() >> 63
+        keys = set(map(tuple, S.tolist())) if big else _sorted_unique(encode_states(S, params))
+        if len(keys) != len(S):
+            raise ValueError("states are not distinct")
+        S.setflags(write=False)
+        object.__setattr__(self, "states", S)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return (self.graph == other.graph and self.r == other.r
+                and np.array_equal(self.states, other.states))
 
     @property
     def k(self) -> int:
-        return len(self.states[0])
+        return self.states.shape[1]
 
 
 def base_simplex(r: int, cap: int = DEFAULT_STATE_CAP) -> LabeledGraph:
     """K_{r+1} with vertex i labeled by the length-1 state (i): the Hanoi graph at k = 1."""
     graph = build_explicit(HanoiParams(r, 1), cap)
-    return LabeledGraph(graph=graph, states=tuple((i,) for i in range(r + 1)), r=r)
+    return LabeledGraph(graph=graph, states=np.arange(r + 1)[:, None], r=r)
 
 
 def truncate_once(t: LabeledGraph) -> LabeledGraph:
-    """One truncation step; new vertex e is CSR entry e, (x, y), labeled x plus y's last entry.
+    """One truncation step; new vertex e is CSR entry e, (x, y), with state x plus y's last entry.
 
     Row e is written straight from the parent's CSR, with no edge list and no
     sort: the rest of row x in ascending order, and the partner (y, x) first
-    or last.  ``iterate_truncation(64, 2)`` peaks at about 20 traced bytes per
-    edge, labels included; at small r the state tuples and labels dominate.
+    or last.  The states are gathered as one int32 matrix and the new graph
+    has no labels.  ``iterate_truncation(64, 2)`` peaks at about 20 traced
+    bytes per edge and ``iterate_truncation(2, 14)`` at about 200, where the
+    k-entry state rows outweigh the CSR.
     """
     g = t.graph
     if g.m == 0:
@@ -103,10 +127,8 @@ def truncate_once(t: LabeledGraph) -> LabeledGraph:
     np.cumsum(rows, out=rows)
     rows += rows >= np.repeat(np.arange(n, dtype=np.int32), degree)
     rows[np.where(first, indptr[:-1], indptr[1:] - 1)] = partner
-    S = np.array(t.states)
-    states = tuple(map(tuple, np.column_stack([S[x], S[g.indices, -1]]).tolist()))
-    graph = ExplicitGraph(n, indptr, rows, tuple(map(format_state, states)))
-    return LabeledGraph(graph=graph, states=states, r=t.r)
+    states = np.column_stack([t.states[x], t.states[g.indices, -1]])
+    return LabeledGraph(graph=ExplicitGraph(n, indptr, rows, None), states=states, r=t.r)
 
 
 def iterate_truncation(r: int, k: int, cap: int = DEFAULT_STATE_CAP) -> LabeledGraph:
@@ -152,7 +174,7 @@ def _certify(t: LabeledGraph, graph: ExplicitGraph) -> bool:
     n, r = graph.n, t.r
     if t.graph.n != n or (t.graph.degrees() != r).any() or (graph.degrees() != r).any():
         return False
-    ranks = encode_states(np.array(t.states), HanoiParams(r, t.k, proper=False)).astype(np.int32)
+    ranks = encode_states(t.states, HanoiParams(r, t.k, proper=False)).astype(np.int32)
     if not np.array_equal(np.sort(ranks), np.arange(n)):
         return False
     rows = np.empty((n, r), dtype=np.int32)

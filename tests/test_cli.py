@@ -100,7 +100,9 @@ def test_analyze_refuses_empty_source_sample(tmp_path, capsys, count):
     (["--epsilon", "1/4"], "error: --epsilon and --d must be given together\n"),
     (["--d", "2"], "error: --epsilon and --d must be given together\n"),
     (["--sources", "0"], "error: source sample must be at least 1, got 0\n"),
-], ids=["epsilon-alone", "d-alone", "no-sources"])
+    (["--epsilon", "1/2", "--d", "3", "--sources", "0"],
+     "error: source sample must be at least 1, got 0\n"),
+], ids=["epsilon-alone", "d-alone", "no-sources", "no-sources-with-epsilon"])
 def test_analyze_flag_errors_come_before_the_file(tmp_path, capsys, flags, message):
     # the input does not exist, so any attempt to read it would report that instead
     code, stdout, stderr = run(capsys, "analyze", "--in", str(tmp_path / "absent.dug"), *flags)

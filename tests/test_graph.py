@@ -233,10 +233,17 @@ class TestBuildExplicit:
         assert peak <= 32 * built[0].m
 
     def test_truncation_memory_per_edge(self):
-        # the CSR written straight from the parent's: about 20 B per edge, labels included
+        # the CSR written straight from the parent's and the int32 states: about 20 B per edge
         built = []
         peak = traced_peak(lambda: built.append(iterate_truncation(64, 2)))
         assert peak <= 32 * built[0].graph.m
+
+    def test_truncation_memory_per_edge_at_small_r(self):
+        # 14 int32 state entries per vertex outweigh the CSR: about 200 B per edge, with
+        # no Python object per vertex (a tuple and a label string each took 614 B)
+        built = []
+        peak = traced_peak(lambda: built.append(iterate_truncation(2, 14)))
+        assert peak <= 300 * built[0].graph.m
 
     def test_only_built_graphs_carry_a_class_index(self, tmp_path):
         g = build_explicit(HanoiParams(4, 3, proper=True))

@@ -10,6 +10,7 @@ from dug import (
     EmptyGraph,
     ExplicitGraph,
     HanoiParams,
+    InvalidState,
     LabeledGraph,
     TooLarge,
     WrongShape,
@@ -18,10 +19,13 @@ from dug import (
     enumerate_states,
     format_state,
     iterate_truncation,
+    make_state,
+    save_edge_list,
     truncate_once,
     build_explicit,
     verify_isomorphism,
 )
+from dug.cli import cli_dispatch
 from dug.truncation import _certify
 
 
@@ -34,8 +38,8 @@ def reference_truncate_once(t: LabeledGraph) -> LabeledGraph:
     for u in range(g.n):
         nbrs = [int(w) for w in g.neighbors_of(u)]
         edges += [(pair_id[(u, y)], pair_id[(u, z)]) for y, z in combinations(nbrs, 2)]
-    states = tuple(t.states[u] + (t.states[w][-1],) for u, w in pairs)
-    graph = ExplicitGraph.from_edges(len(pairs), edges, [format_state(s) for s in states])
+    states = [tuple(t.states[u]) + (t.states[w][-1],) for u, w in pairs]
+    graph = ExplicitGraph.from_edges(len(pairs), edges)
     return LabeledGraph(graph=graph, states=states, r=t.r)
 
 
@@ -58,7 +62,7 @@ class TestBaseSimplex:
     def test_triangle(self):
         t = base_simplex(2)
         assert t.graph.n == 3 and t.graph.m == 3
-        assert t.states == ((0,), (1,), (2,))
+        assert np.array_equal(t.states, [[0], [1], [2]])
 
     def test_k4(self):
         t = base_simplex(3)
@@ -157,7 +161,7 @@ class TestIterate:
 
     def test_base_case_labels(self):
         t = iterate_truncation(3, 1)
-        assert sorted(t.states) == enumerate_states(HanoiParams(3, 1))
+        assert sorted(map(tuple, t.states.tolist())) == enumerate_states(HanoiParams(3, 1))
 
     def test_known_instances(self):
         assert iterate_truncation(3, 2).graph.n == 12
@@ -174,6 +178,25 @@ class TestIterate:
             iterate_truncation(3, 0)
         with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
             iterate_truncation(0, 2)
+
+    @pytest.mark.parametrize("r,k", [(3, 2), (4, 3), (2, 6)])
+    def test_cli_file_matches_the_reference_chain(self, tmp_path, capsys, r, k):
+        # The reference chain from K_{r+1}, labeled with format_state, written by save_edge_list.
+        want = labeled(r + 1, list(combinations(range(r + 1), 2)))
+        for _ in range(k - 1):
+            want = reference_truncate_once(want)
+        labels = [format_state(s) for s in want.states.tolist()]
+        save_edge_list(ExplicitGraph.from_edges(want.graph.n, want.graph.edge_array(), labels),
+                       tmp_path / "want.dug")
+        assert cli_dispatch(["truncate", "--r", str(r), "--k", str(k),
+                             "--out", str(tmp_path / "got.dug")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "got.dug").read_bytes() == (tmp_path / "want.dug").read_bytes()
+        # In memory the truncation holds no label text, only the read-only state matrix.
+        t = iterate_truncation(r, k)
+        assert t.graph.labels is None
+        assert t.states.dtype == np.int32 and t.states.shape == (t.graph.n, k)
+        assert not t.states.flags.writeable
 
     def test_edge_cap(self):
         # 72 vertices are within the cap, their 288 edges are not
@@ -193,11 +216,12 @@ class TestIsomorphism:
         # sibling edges are adjustments (same prefix), partner edges are involutions
         t = iterate_truncation(4, 3)
         params = HanoiParams(4, 3)
+        states = list(map(tuple, t.states.tolist()))
         for u in range(t.graph.n):
-            su = t.states[u]
+            su = states[u]
             for w in map(int, t.graph.neighbors_of(u)):
                 if u < w:
-                    sw = t.states[w]
+                    sw = states[w]
                     if su[:-1] == sw[:-1]:
                         assert su[-1] != sw[-1]  # adjustment edge
                     else:
@@ -238,21 +262,19 @@ class TestIsomorphism:
 
     def test_swapped_labels_detected(self):
         t = iterate_truncation(3, 3)
-        states = list(t.states)
-        states[0], states[1] = states[1], states[0]
-        swapped = LabeledGraph(t.graph, tuple(states), r=t.r)
+        states = t.states.copy()
+        states[[0, 1]] = states[[1, 0]]
+        swapped = LabeledGraph(t.graph, states, r=t.r)
         assert not verify_isomorphism(swapped, HanoiParams(3, 3))
 
     def test_consistent_renumbering_passes(self):
         # Vertex v becomes order[v]; its state and its edges move with it.
         t = iterate_truncation(3, 3)
         order = np.random.default_rng(5).permutation(t.graph.n)
-        states = [None] * t.graph.n
-        for v, s in enumerate(t.states):
-            states[order[v]] = s
-        g = ExplicitGraph.from_edges(t.graph.n, order[t.graph.edge_array()],
-                                     [format_state(s) for s in states])
-        moved = LabeledGraph(g, tuple(states), r=t.r)
+        states = np.empty_like(t.states)
+        states[order] = t.states
+        g = ExplicitGraph.from_edges(t.graph.n, order[t.graph.edge_array()])
+        moved = LabeledGraph(g, states, r=t.r)
         assert verify_isomorphism(moved, HanoiParams(3, 3))
         assert _certify(moved, build_explicit(HanoiParams(3, 3)))
 
@@ -261,7 +283,7 @@ class TestIsomorphism:
         t = iterate_truncation(3, 2)
         n = t.graph.n - 1
         edges = [(u, v) for u, v in t.graph.edges() if v < n]
-        g = ExplicitGraph.from_edges(n, edges, t.graph.labels[:n])
+        g = ExplicitGraph.from_edges(n, edges)
         part = LabeledGraph(g, t.states[:n], r=t.r)
         assert not verify_isomorphism(part, HanoiParams(3, 2))
 
@@ -276,7 +298,7 @@ class TestIsomorphism:
     def test_repeated_state_fails_the_permutation_guard(self):
         # LabeledGraph refuses repeated states; _certify must not rely on that.
         t = iterate_truncation(2, 2)
-        states = (t.states[1],) + t.states[1:]
+        states = np.concatenate([t.states[1:2], t.states[1:]])
         fake = SimpleNamespace(graph=t.graph, states=states, r=t.r, k=t.k)
         assert not _certify(fake, build_explicit(HanoiParams(2, 2)))
 
@@ -292,3 +314,41 @@ class TestIsomorphism:
             # outside 0..r, not an integer, equal entries side by side, lengths differ
             with pytest.raises(ValueError):
                 LabeledGraph(g, states, r=1)
+
+    def test_states_too_long_to_rank_are_compared_exactly(self):
+        # Their int64 ranks would differ by 2^64: the same value after wrapping.
+        a, b = (0,) + (2, 0) * 32, (1,) + (2, 0) * 32
+        t = LabeledGraph(ExplicitGraph.from_edges(2, []), (a, b), r=2)
+        assert t.states.tolist() == [list(a), list(b)]
+        with pytest.raises(ValueError, match="^states are not distinct$"):
+            LabeledGraph(ExplicitGraph.from_edges(2, []), (a, a), r=2)
+
+    def test_entries_beyond_int32_are_refused(self):
+        # A valid state when r is that large, but the state matrix is int32.
+        g = ExplicitGraph.from_edges(1, [])
+        with pytest.raises(ValueError, match="^state entries must fit in int32$"):
+            LabeledGraph(g, ((2**31,),), r=2**31)
+        assert LabeledGraph(g, ((2**31 - 1,),), r=2**31).states.tolist() == [[2**31 - 1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_labeled_graph_accepts_what_make_state_accepts(self, r, k, data):
+        # Rows of k entries in -1..r+1, the last row sometimes one entry longer; the
+        # first row sets the length every row must have.
+        rows = data.draw(st.lists(st.lists(st.integers(-1, r + 1), min_size=k, max_size=k),
+                                  min_size=1, max_size=5))
+        if data.draw(st.booleans()):
+            rows[-1] = rows[-1] + [0]
+        try:
+            for row in rows:
+                make_state(row, HanoiParams(r, len(rows[0])))
+            want = len(set(map(tuple, rows))) == len(rows)
+        except InvalidState:
+            want = False
+        g = ExplicitGraph.from_edges(len(rows), [])
+        try:
+            t = LabeledGraph(g, tuple(map(tuple, rows)), r=r)
+        except ValueError:
+            assert not want
+        else:
+            assert want and t.states.tolist() == rows

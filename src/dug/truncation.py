@@ -34,7 +34,6 @@ from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
     TooLarge,
-    _sorted_unique,
     _valid_rows,
     encode_states,
 )
@@ -53,7 +52,9 @@ class LabeledGraph:
     """A graph whose vertices carry distinct Hanoi states of uniform length.
 
     ``states`` is a read-only (n, k) int32 matrix whose row v is vertex v's
-    state; any (n, k) integer array-like is accepted.  Equality compares the
+    state; any (n, k) integer array-like is accepted.  An int32 array that
+    owns its data is adopted and frozen, not copied, as ExplicitGraph does
+    with its CSR arrays; a view is copied first.  Equality compares the
     graph, r and the states' values; instances are not hashable.
     """
 
@@ -73,10 +74,10 @@ class LabeledGraph:
         if S.max() > np.iinfo(np.int32).max:
             raise ValueError("state entries must fit in int32")
         S = S.astype(np.int32, copy=False)
-        # Ranks are exact below 2^63 states; past that the rows are compared as tuples.
-        big = params.state_count() >> 63
-        keys = set(map(tuple, S.tolist())) if big else _sorted_unique(encode_states(S, params))
-        if len(keys) != len(S):
+        if S.base is not None:
+            S = S.copy()
+        T = S[np.lexsort(S.T)]
+        if (T[1:] == T[:-1]).all(1).any():
             raise ValueError("states are not distinct")
         S.setflags(write=False)
         object.__setattr__(self, "states", S)

@@ -323,6 +323,16 @@ class TestIsomorphism:
         with pytest.raises(ValueError, match="^states are not distinct$"):
             LabeledGraph(ExplicitGraph.from_edges(2, []), (a, a), r=2)
 
+    def test_owned_int32_states_are_adopted_and_views_copied(self):
+        g = ExplicitGraph.from_edges(2, [(0, 1)])
+        owned = np.array([[0], [1]], dtype=np.int32)
+        assert LabeledGraph(g, owned, r=1).states is owned
+        assert not owned.flags.writeable
+        base = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        t = LabeledGraph(g, base[:, :1], r=1)
+        base[1, 0] = 0  # would repeat state (0) if the view were kept
+        assert t.states.tolist() == [[0], [1]]
+
     def test_entries_beyond_int32_are_refused(self):
         # A valid state when r is that large, but the state matrix is int32.
         g = ExplicitGraph.from_edges(1, [])

@@ -14,6 +14,7 @@ Graphs are simple and undirected; distances reported by the BFS helpers use
 from __future__ import annotations
 
 import io
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -98,9 +99,12 @@ class ExplicitGraph:
 
         It serves edge lists, from the file loader and from tests; the
         builders (Hanoi graphs, blow-ups, truncations) write their CSR
-        directly.  An integer array is read as it is, with no widening copy.
-        The sort keys, one per adjacency entry, are uint32 up to n = 2^16 and
-        then become the int32 indices in place; above that they are int64.
+        directly.  An integer array is read as it is, with no widening copy,
+        and never written to.  The sort keys, one per adjacency entry, are
+        uint32 up to n = 2^16 and then become the int32 indices in place;
+        above that they are int64.  Besides them and the result, assembly
+        holds one block of row bounds, so a large n with few edges costs
+        little more than its indptr.
         """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -123,16 +127,26 @@ class ExplicitGraph:
         u, v = arr.T
         if (u == v).any():
             raise ValueError("self-loop in edge list")
+        m = len(arr)
+        key = np.empty(2 * m, dtype=np.uint32 if n * n <= 1 << 32 else np.int64)
+        np.minimum(u, v, out=key[:m], casting="unsafe")
+        np.maximum(u, v, out=key[m:], casting="unsafe")
+        return cls._from_keys(n, key, labels)
+
+    @classmethod
+    def _from_keys(cls, n: int, key: np.ndarray, labels) -> "ExplicitGraph":
+        """The graph of the edges (key[i], key[m + i]), lo < hi, each below n.
+
+        key is uint32 when n * n <= 2^32, else int64; it is consumed: its
+        entries become the sort keys and then the neighbour ids.
+        """
         # One sort of row * n + col orders the CSR entries and puts a duplicate
         # edge next to its twin.  Both keys are formed in place from lo and hi:
         # lo * (n + 1) + (hi - lo) is lo * n + hi, and adding (hi - lo) * (n - 1)
         # to that gives hi * n + lo.
-        m = len(arr)
-        kt = np.uint32 if n * n <= 1 << 32 else np.int64
-        key = np.empty(2 * m, dtype=kt)
+        kt = key.dtype.type
+        m = key.size // 2
         lo, hi = key[:m], key[m:]
-        np.minimum(u, v, out=lo, casting="unsafe")
-        np.maximum(u, v, out=hi, casting="unsafe")
         hi -= lo
         lo *= kt(n + 1)
         lo += hi
@@ -142,9 +156,12 @@ class ExplicitGraph:
         if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate edge in edge list")
         # Row w's entries are the keys in [w * n, (w + 1) * n).  The bounds are
-        # searched as kt, which n * n itself may overflow, so no key is widened.
+        # searched as kt, which n * n itself may overflow, so no key is widened,
+        # one block of rows at a time, so nothing else is n-sized.
         indptr = np.empty(n + 1, dtype=np.int64)
-        indptr[:n] = np.searchsorted(key, np.arange(n, dtype=kt) * kt(n))
+        for w in range(0, n, _EDGE_CHUNK):
+            bounds = np.arange(w, min(w + _EDGE_CHUNK, n), dtype=kt)
+            indptr[w:w + bounds.size] = np.searchsorted(key, bounds * kt(n))
         indptr[n] = 2 * m
         np.remainder(key, n, out=key)
         indices = key.view(np.int32) if kt is np.uint32 else key.astype(np.int32)
@@ -167,15 +184,11 @@ class ExplicitGraph:
         adjacency entries and at most _EDGE_CHUNK rows, or of one longer row.
         """
         indptr, indices = self.indptr, self.indices
-        lo = 0
-        while lo < self.n:
-            hi = int(np.searchsorted(indptr, indptr[lo] + _EDGE_CHUNK, side="right")) - 1
-            hi = min(max(hi, lo + 1), lo + _EDGE_CHUNK)
+        for lo, hi in _row_runs(indptr):
             rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1]))
             cols = indices[indptr[lo]:indptr[hi]]
             upper = cols > rows
             yield np.column_stack([rows[upper], cols[upper].astype(np.int64)])
-            lo = hi
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) int64 array of the edges as (u, v) with u < v, in sorted order."""
@@ -206,6 +219,17 @@ class ExplicitGraph:
     def __repr__(self) -> str:
         lab = "labeled" if self.labels is not None else "unlabeled"
         return f"ExplicitGraph(n={self.n}, m={self.m}, {lab})"
+
+
+def _row_runs(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of CSR rows with at most _EDGE_CHUNK adjacency entries
+    and at most _EDGE_CHUNK rows, or of one longer row, in order."""
+    lo, n = 0, indptr.size - 1
+    while lo < n:
+        hi = int(np.searchsorted(indptr, indptr[lo] + _EDGE_CHUNK, side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + _EDGE_CHUNK)
+        yield lo, hi
+        lo = hi
 
 
 def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> ExplicitGraph:
@@ -481,7 +505,10 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
 
     The CSR is built directly, with no edge list to sort: every copy of v has
     the same row, the copy ranges of v's neighbours in order, which is sorted
-    and free of duplicates because g is simple.
+    and free of duplicates because g is simple.  Those rows are formed once,
+    and the output's int32 indices are gathered from them one run of rows
+    (see :func:`_row_runs`) at a time, so beyond the result and one block the
+    build holds only that one copy of each row.
     """
     if g.n == 0:
         raise ValueError("cannot blow up a graph with no vertices")
@@ -503,15 +530,18 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     spans = counts[g.indices]
     starts = np.zeros(spans.size + 1, dtype=np.int64)
     np.cumsum(spans, out=starts[1:])
-    rows = (np.repeat(offsets[g.indices] - starts[:-1], spans)
-            + np.arange(starts[-1])).astype(np.int32)
+    rows = np.repeat((offsets[g.indices] - starts[:-1]).astype(np.int32), spans)
+    rows += np.arange(starts[-1], dtype=np.int32)
     row_ptr = starts[g.indptr]
     # Each output vertex reads its base vertex's row.
     lengths = np.repeat(np.diff(row_ptr), counts)
     indptr = np.zeros(n_target + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     shift = np.repeat(row_ptr[:-1], counts) - indptr[:-1]
-    indices = rows[np.repeat(shift, lengths) + np.arange(indptr[-1])]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for lo, hi in _row_runs(indptr):
+        a, b = indptr[lo], indptr[hi]
+        indices[a:b] = rows[np.repeat(shift[lo:hi], lengths[lo:hi]) + np.arange(a, b)]
     labels = None
     if g.labels is not None:
         labels = tuple(f"{lab}:{i}" for lab, c in zip(g.labels, counts.tolist())
@@ -578,23 +608,37 @@ def load_edge_list(path) -> ExplicitGraph:
     lines before it go through the line parser.  When that run holds any other
     line, or the file has any fault, the whole file is parsed line by line, so
     errors and their line numbers come from one parser.
+
+    A file, unlike a pipe, is never held whole: the head before that run is
+    kept, and the run is streamed into an int32 buffer sized by the header's
+    edge count.  When the run holds every edge, the buffer becomes the sort
+    keys and then the CSR indices in place, so loading holds little beyond
+    its result.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    split = data.find(b"\ne ") + 1
-    tail = _canonical_edges(data, split)
-    if tail is not None:
-        head = data[:split]
-        del data  # before the CSR is built; a fault means reading the file again
-        try:
-            with io.TextIOWrapper(io.BytesIO(head), encoding="utf-8") as lines:
-                return _parse_lines(lines, tail)
-        except ValueError:  # the whole-file parse below reports it, with its line
-            pass
-        with open(path, "rb") as fh:
-            data = fh.read()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        return _parse_lines(fh)
+    with open(path, "rb") as raw:
+        # A pipe is held whole, as the line parser may need to read it again.
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        head, split = bytearray(), 0
+        while not split and (more := fh.read(min(_READ_CHUNK, size + 1))):
+            head += more
+            split = head.find(b"\ne ", max(len(head) - len(more) - 2, 0)) + 1
+        if split:
+            del head[split:]
+            fh.seek(split)
+            # Only a size hint: the line parser checks the header.
+            declared = re.search(rb"^\s*dug\s+\S+\s+\S+\s+(\d{1,18})\s*$", head, re.M)
+            tail = _canonical_edges(fh, size - split, int(declared[1]) if declared else 0)
+            if tail is not None:
+                try:
+                    with io.TextIOWrapper(io.BytesIO(head), encoding="utf-8") as lines:
+                        return _parse_lines(lines, tail)
+                except ValueError:  # the whole-file parse below reports it, with its line
+                    pass
+        fh.seek(0)
+        with io.TextIOWrapper(fh, encoding="utf-8") as lines:
+            return _parse_lines(lines)
 
 
 # Longest vertex id the bulk reader decodes: one 8-byte word.  Ids up to
@@ -607,46 +651,55 @@ _ZERO_CHARS = np.uint64(0x3030303030303030)
 _KEEP = np.array([(1 << 64) - (1 << 8 * (7 - j)) for j in range(8)], dtype=np.uint64)
 
 
-def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
-    """(m, 2) int32 endpoints of the lines 'e <u> <v>' from data[start:] on, or None if any differs.
+def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
+    """(k, 2) int32 endpoints of the lines 'e <u> <v>' that fill the rest of fh, or None if any differs.
 
-    Each line must be 'e', a space, a run of 1 to _MAX_DIGITS ASCII digits, a
-    space, another such run and '\\n', with u < v.  The lines are checked and
-    decoded in chunks of about _READ_CHUNK bytes of whole lines, so the
-    temporaries stay that small whatever the file's size.  In a chunk, the
-    bytes <= 32 must be space, space, '\\n' on each line, each line's first
-    space must be its second byte and follow an 'e', and every other byte
-    must be a digit.  A chunk is taken column-major: its u tokens, then its
-    v tokens, are decoded as one flat run into the chunk's columns of one
-    (2, m) array, sized by the newline count, whose transpose is returned.
+    fh is a binary file at the first of those lines, size the bytes left,
+    and m the edge count the header declares (0 if unread).  Each line must
+    be 'e', a space, a run of 1 to _MAX_DIGITS ASCII digits, a space, another
+    such run and '\\n', with u < v.  The file is read _READ_CHUNK bytes at a
+    time (at most size + 1), and the whole lines of each read are checked and
+    decoded together, so the temporaries stay that small whatever the file's
+    size; the partial last line, with the 8 bytes before it, carries over to
+    the next read.  In a chunk, the bytes <= 32
+    must be space, space, '\\n' on each line, each line's first space must be
+    its second byte and follow an 'e', and every other byte must be a digit.
+    A chunk is taken column-major: its u tokens, then its v tokens, are
+    decoded as one flat run into the chunk's columns of one (2, m) array,
+    whose transpose is returned.  m is capped at size // 6, since a line has
+    at least 6 bytes, and the array grows if the file holds more lines (the
+    line parser then reports the count).  When it holds exactly m, the
+    array's two rows, every u and then every v, are the layout of the keys
+    of ExplicitGraph._from_keys.
 
     A token is decoded with the SWAR digit trick (Langdale & Lemire, *Parsing
     gigabytes of JSON per second*, VLDB J. 2019): one little-endian 8-byte
     load that ends at its last digit, XOR '0' from every byte, the bytes
     before the token masked off, then three multiply-shift-mask steps that
-    join digits pairwise into 2-, 4- and 8-digit values.  A block that starts
-    in the first 8 bytes of data leaves no room for a header, so the line
-    parser takes it.
+    join digits pairwise into 2-, 4- and 8-digit values.
     """
-    if start < 8 or not data.endswith(b"\n"):
-        return None
-    edges = np.empty((2, data.count(b"\n", start)), dtype=np.int32)
-    # words[i] is the little-endian uint64 of data[i:i + 8].
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    row = 0
-    while start < len(data):
-        stop = data.find(b"\n", start + _READ_CHUNK - 1) + 1 or len(data)
-        chars = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    edges = np.empty((2, min(m, size // 6)), dtype=np.int32)
+    # data[:8] holds the bytes before the chunk, which the first token's load
+    # reads and masks off; data[8:] the chunk and the next partial line.
+    data, row = bytes(8), 0
+    while more := fh.read(min(_READ_CHUNK, size + 1)):
+        data += more
+        stop = data.rfind(b"\n") + 1
+        if len(data) - max(stop, 8) > 2 * _MAX_DIGITS + 3:  # longer than any canonical line
+            return None
+        if stop <= 8:  # no whole line yet
+            continue
+        chars = np.frombuffer(data, dtype=np.uint8, count=stop - 8, offset=8)
         seps = np.flatnonzero(chars <= 32)
         k = seps.size // 3
         if seps.size != 3 * k:
             return None
-        # s[j, i] is separator j of line i.  Token j of line i (u, then v) ends
-        # just before s[j + 1, i]; lens is its digit count less 1.  A newline
-        # is 2 bytes before the next line's first space when only that line's
-        # 'e' lies between them; the next chunk checks its own first line.
+        # s[j, i] is separator j of line i.  Token j of line i (u, then v)
+        # ends just before s[j + 1, i], so its load starts at data[s[j + 1, i]];
+        # lens is its digit count less 1.  A newline is 2 bytes before the
+        # next line's first space when only that line's 'e' lies between
+        # them; the next chunk checks its own first line.
         s = seps.reshape(k, 3).T
-        ends = np.add(s[1:], start - 8, order="C")
         lens = np.subtract(s[1:], s[:2], order="C")
         lens -= 2
         # With one newline per line, the 2k other separators are the 2k spaces.
@@ -657,7 +710,9 @@ def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
                 and (chars[s[0] - 1] == ord("e")).all()
                 and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * k):
             return None
-        x = words[ends.ravel()]
+        # words[i] is the little-endian uint64 of data[i:i + 8].
+        words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+        x = words[s[1:].ravel()]
         x ^= _ZERO_CHARS
         x &= _KEEP[lens.ravel()]
         x *= np.uint64(10 << 8 | 1)
@@ -671,17 +726,21 @@ def _canonical_edges(data: bytes, start: int) -> np.ndarray | None:
         x = x.reshape(2, k)
         if not (x[0] < x[1]).all():
             return None
+        if row + k > edges.shape[1]:  # more lines than the header declares
+            edges = np.concatenate([edges[:, :row], np.empty((2, row + k), np.int32)], axis=1)
         edges[:, row:row + k] = x
         row += k
-        start = stop
-    return edges.T
+        data = data[stop - 8:]
+    return None if len(data) > 8 else edges[:, :row].T
 
 
 def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:
     """Line-by-line parser for any valid file; the only source of parse errors.
 
     ``tail`` holds the (m, 2) edges of lines that follow ``lines`` in the file,
-    already read in bulk; they are counted and checked with the others.
+    already read in bulk; they are counted and checked with the others.  When
+    they are all the edges, the graph is built in tail's buffer, which is
+    then no longer the edges.
     """
     header = None
     edges: list[tuple[int, int]] = []
@@ -764,4 +823,10 @@ def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> Explic
                 f"labels must cover all {n} vertices, found {len(label_map)}"
             )
         labels = tuple(label_map[v] for v in range(n))
+    if edge_arr is tail and n * n <= 1 << 32 and tail.T.flags.c_contiguous:
+        # u < v on every bulk line, so the rows of the bulk reader's (2, m)
+        # buffer, every u and then every v, are the uint32 keys' lo and hi.
+        if tail.T[1].max() >= n:
+            raise BadVertex(f"edge endpoint outside 0..{n - 1}")
+        return ExplicitGraph._from_keys(n, tail.T.reshape(-1).view(np.uint32), labels)
     return ExplicitGraph.from_edges(n, edge_arr, labels)

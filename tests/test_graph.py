@@ -1,4 +1,7 @@
+import io
+import os
 import tempfile
+import threading
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -65,7 +68,9 @@ def edge_block(data: bytes) -> bytes:
 
 def bulk_edges(data: bytes):
     """What the bulk reader makes of the edge block of the file bytes data."""
-    return _canonical_edges(data, data.find(b"\ne ") + 1)
+    split = data.find(b"\ne ") + 1
+    block = data[split:]
+    return _canonical_edges(io.BytesIO(block), len(block), len(block)) if split else None
 
 
 @st.composite
@@ -164,8 +169,20 @@ class TestFromEdges:
         edges = np.column_stack([iu[pick], iv[pick]])
         swap = rng.random(len(edges)) < 0.5
         edges[swap] = edges[swap, ::-1]
-        g = ExplicitGraph.from_edges(n, make(edges))
+        given = make(edges)
+        g = ExplicitGraph.from_edges(n, given)
         assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        assert (g.indptr.tolist(), g.indices.tolist()) == sorted_csr(n, edges)
+        assert np.array_equal(given, edges)  # the caller's edges are left as they were
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("n", [1, 20, 65_537])
+    def test_row_bounds_searched_a_block_at_a_time(self, n, chunk):
+        # Rows 0, n // 2 and n - 1 are in different blocks, some blocks hold no entry.
+        pairs = {(a, b) for a, b in [(0, n - 1), (0, n // 2), (n // 2, n - 1)] if a < b}
+        edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        with mock.patch("dug.graph._EDGE_CHUNK", chunk):
+            g = ExplicitGraph.from_edges(n, edges)
         assert (g.indptr.tolist(), g.indices.tolist()) == sorted_csr(n, edges)
 
     @pytest.mark.parametrize("make", INTEGER_INPUTS, ids=["int32", "int64", "uint32"])
@@ -180,6 +197,20 @@ class TestFromEdges:
         g = ExplicitGraph.from_edges(n, make(edges))
         assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
         assert (g.indptr.tolist(), g.indices.tolist()) == sorted_csr(n, edges)
+
+    def test_many_vertices_cost_little_beyond_indptr(self, tmp_path):
+        # Row bounds are searched a block at a time: no n-sized temporary.
+        n = 2 * 10**6
+        f = tmp_path / "wide.dug"
+        f.write_text(f"dug 1 {n} 2\ne 0 1\ne 1 {n - 1}\n")
+        for build in (lambda: ExplicitGraph.from_edges(n, [(0, 1), (1, n - 1)]),
+                      lambda: load_edge_list(f)):
+            built = []
+            peak = traced_peak(lambda: built.append(build()))
+            g = built[0]
+            assert peak <= 1.25 * g.indptr.nbytes
+            assert g.indptr[:3].tolist() == [0, 1, 3] and g.indptr[-2:].tolist() == [3, 4]
+            assert (g.indptr[2:-1] == 3).all() and g.indices.tolist() == [1, 0, n - 1, 1]
 
     @pytest.mark.parametrize("empty", [[], np.zeros((0, 2)), np.zeros(0, dtype=np.float32)],
                              ids=["list", "float64", "float32"])
@@ -578,6 +609,18 @@ class TestEdgeListIO:
             save_edge_list(g, f)
         assert not f.exists()
 
+    @pytest.mark.parametrize("body", ["dug 1 3 2\ne 0 1\ne 1 2\n", "dug 1 3 2\ne 0 1\r\ne 1 2\n",
+                                      "dug 1 3 2\ne 0 1\ne 0 1\n", "dug 1 3 0\n"])
+    def test_pipe_loads_as_a_file_does(self, tmp_path, body):
+        f, fifo = tmp_path / "g.dug", tmp_path / "g.fifo"
+        f.write_text(body)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(body,), daemon=True)
+        writer.start()
+        got = outcome(lambda: load_edge_list(fifo))
+        writer.join(timeout=10)
+        assert got == outcome(lambda: load_edge_list(f))
+
     def test_inner_whitespace_label_round_trips(self, tmp_path):
         g = ExplicitGraph.from_edges(2, [(0, 1)], labels=["a  b", "c\td"])
         f = tmp_path / "g.dug"
@@ -651,7 +694,7 @@ def load_traced(f):
     tails = []
 
     def spy(lines, tail=None):
-        tails.append(tail)
+        tails.append(None if tail is None else tail.copy())  # the CSR may be built in tail
         return _parse_lines(lines, tail)
 
     with mock.patch("dug.graph._parse_lines", spy):
@@ -724,13 +767,16 @@ def test_errors_after_bulk_read_match_line_parser(tmp_path, body, want):
 
 
 @settings(max_examples=300)
-@given(small_graphs(), st.sampled_from(MUTATIONS), st.data())
-def test_bulk_parser_matches_line_parser(g, mutation, data):
+@given(small_graphs(), st.sampled_from(MUTATIONS), st.data(),
+       st.one_of(st.just(1 << 18), st.integers(1, 24)))
+def test_bulk_parser_matches_line_parser(g, mutation, data, chunk):
+    """Reads of a few bytes split lines, tokens and the head from the edges."""
     text = mutate(g, mutation, data.draw)
     with tempfile.TemporaryDirectory() as tmp:
         f = Path(tmp) / "g.dug"
         f.write_bytes(text.encode())
-        got, tails = load_traced(f)
+        with mock.patch("dug.graph._READ_CHUNK", chunk):
+            got, tails = load_traced(f)
         assert got == line_parser_outcome(f)
     if mutation == "none":
         assert got == g
@@ -809,7 +855,7 @@ def test_edge_list_io_memory_is_bounded(tmp_path):
     load_peak = traced_peak(lambda: load_edge_list(f))
     assert g.m == 778_636
     assert save_peak < 8_000_000
-    assert load_peak <= 3 * size
+    assert load_peak <= 1.25 * size
     assert load_edge_list(f) == g
     # from the bulk reader's int32 edges: 8 B per edge of uint32 keys, which become the indices
     edges = g.edge_array().astype(np.int32)
@@ -825,6 +871,18 @@ def test_header_vertex_count_past_the_cap_is_refused(tmp_path, n, rest):
     def load():
         want = rf"^header declares {n} vertices \(cap {DEFAULT_STATE_CAP}\)$"
         with pytest.raises(TooLarge, match=want):
+            load_edge_list(f)
+
+    assert traced_peak(load) < 100_000
+
+
+def test_header_edge_count_is_trusted_only_as_far_as_the_file_goes(tmp_path):
+    # The bulk reader's buffer is sized by the header's m, capped at one edge per 6 bytes.
+    f = tmp_path / "short.dug"
+    f.write_text(f"dug 1 3 {10**12}\ne 0 1\ne 1 2\n")
+
+    def load():
+        with pytest.raises(InconsistentHeader, match=f"^header declares {10**12} edges, file has 2$"):
             load_edge_list(f)
 
     assert traced_peak(load) < 100_000
@@ -904,19 +962,38 @@ class TestBlowUp:
             with pytest.raises(TooLarge):
                 blow_up(g, n_target)
 
-    @given(small_graphs(max_n=7), st.integers(1, 4), st.integers(0, 6))
-    @example(ExplicitGraph.from_edges(4, [(1, 2)]), 1, 0)  # isolated vertices, n_target = n
-    @example(ExplicitGraph.from_edges(3, [(0, 2)], labels=["a", "b", "c"]), 3, 0)  # rem = 0
-    @example(ExplicitGraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "b", "c"]), 2, 2)
-    def test_csr_equals_the_sorted_edge_build(self, g, q, extra):
+    @given(small_graphs(max_n=7), st.integers(1, 4), st.integers(0, 6),
+           st.sampled_from([1 << 16, 1, 2, 5]))
+    @example(ExplicitGraph.from_edges(4, [(1, 2)]), 1, 0, 1 << 16)  # isolated vertices, n_target = n
+    @example(ExplicitGraph.from_edges(3, [(0, 2)], labels=["a", "b", "c"]), 3, 0, 2)  # rem = 0
+    @example(ExplicitGraph.from_edges(3, [(0, 1), (1, 2)], labels=["a", "b", "c"]), 2, 2, 5)
+    def test_csr_equals_the_sorted_edge_build(self, g, q, extra, chunk):
         if g.n == 0:
             return
-        b = blow_up(g, q * g.n + extra % g.n)
+        with mock.patch("dug.graph._EDGE_CHUNK", chunk):  # rows gathered a run at a time
+            b = blow_up(g, q * g.n + extra % g.n)
         # from_edges sorts, symmetrises and rejects duplicates: equality shows
         # the direct rows are sorted, symmetric and duplicate-free.
         assert b == ExplicitGraph.from_edges(b.n, b.edge_array(), b.labels)
         assert b.indptr.dtype == np.int64 and b.indices.dtype == np.int32
         assert not (b.indptr.flags.writeable or b.indices.flags.writeable)
+
+    @pytest.mark.parametrize("chunk", [1, 4])
+    def test_rows_longer_than_a_run_are_gathered_alone(self, chunk):
+        # Each of the 2 * chunk + 6 vertices has a row of chunk + 3 entries.
+        with mock.patch("dug.graph._EDGE_CHUNK", chunk):
+            b = blow_up(complete_graph(2), 2 * chunk + 6)
+        assert (b.degrees() == chunk + 3).all()
+        assert b == ExplicitGraph.from_edges(b.n, b.edge_array())
+
+    def test_memory_is_the_result_and_one_block(self):
+        # The benchmark's blow-up: G*_{16,2} (labeled) to 5 000 vertices.
+        g = build_explicit(HanoiParams(16, 2, proper=True))
+        built = []
+        peak = traced_peak(lambda: built.append(blow_up(g, 5000)))
+        b = built[0]
+        assert b.m == 778_636
+        assert peak <= 1.5 * (b.indptr.nbytes + b.indices.nbytes)
 
     def test_colon_labels_stay_unique_and_round_trip(self, tmp_path):
         g = ExplicitGraph.from_edges(3, [(0, 1), (1, 2)], labels=["x", "x:0", "x:1"])

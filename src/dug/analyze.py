@@ -18,9 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import ExplicitGraph, bfs_distances, distance_histograms
-# Bound here only for benchmarks/test_harness.py, which checks the scan is wrapped here too.
-from .graph import iter_distance_rows  # noqa: F401
+from .graph import ExplicitGraph, distance_histograms
 
 
 class TooSmall(ValueError):
@@ -96,16 +94,14 @@ class GrowthRow:
 
 
 def distance_profile(g: ExplicitGraph, source: int) -> DistanceProfile:
-    """Distance census from one source, via the hand-rolled BFS."""
-    row = bfs_distances(g, source)
-    positive = row[row > 0]
-    counts: dict[int, int] = {}
-    if positive.size:
-        binned = np.bincount(positive)
-        counts = {int(d): int(c) for d, c in enumerate(binned) if d > 0 and c > 0}
-    return DistanceProfile(
-        source=source, counts=counts, unreachable=int((row < 0).sum())
-    )
+    """Distance census from one source: its row of :func:`~dug.graph.distance_histograms`.
+
+    The vertices in no column of the row are the unreachable ones.
+    """
+    _, table, _ = distance_histograms(g, [source])
+    row = table[0].tolist()
+    counts = {d: c for d, c in enumerate(row) if d > 0 and c > 0}
+    return DistanceProfile(source=source, counts=counts, unreachable=g.n - sum(row))
 
 
 def best_uniformity(

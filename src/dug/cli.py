@@ -121,10 +121,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if (args.epsilon is None) != (args.d is None):
-        print("error: --epsilon and --d must be given together", file=sys.stderr)
-        return 2
     # Flag errors come before the file is read, in either mode.
+    if (args.epsilon is None) != (args.d is None):
+        raise ValueError("--epsilon and --d must be given together")
     if args.sources is not None and args.sources < 1:
         raise ValueError(f"source sample must be at least 1, got {args.sources}")
     g = load_edge_list(args.infile)

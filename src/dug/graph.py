@@ -71,13 +71,15 @@ class ExplicitGraph:
 
     Adjacency is stored in CSR form (``indptr``/``indices``, neighbor lists
     sorted ascending); instances are safe to share across threads.  The
-    all-source distance histograms are kept once computed (see
-    :func:`distance_histograms`).
+    all-source distance histograms are kept once computed, by
+    :func:`distance_histograms` alone.
 
     ``classes`` is None, or for each vertex the id of its class's
     representative, where the vertices of one class provably have equal
     distance histograms.  Only :func:`build_explicit` sets it, and equality
-    ignores it.
+    ignores it.  It only makes the all-source table smaller: a graph without
+    it gets one row per vertex and the same analyses, and no caller that
+    names its sources depends on it.
     """
 
     __slots__ = ("n", "indptr", "indices", "labels", "classes", "_histograms")
@@ -184,7 +186,7 @@ class ExplicitGraph:
         adjacency entries and at most _EDGE_CHUNK rows, or of one longer row.
         """
         indptr, indices = self.indptr, self.indices
-        for lo, hi in _row_runs(indptr):
+        for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
             rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1]))
             cols = indices[indptr[lo]:indptr[hi]]
             upper = cols > rows
@@ -221,13 +223,13 @@ class ExplicitGraph:
         return f"ExplicitGraph(n={self.n}, m={self.m}, {lab})"
 
 
-def _row_runs(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Runs [lo, hi) of CSR rows with at most _EDGE_CHUNK adjacency entries
-    and at most _EDGE_CHUNK rows, or of one longer row, in order."""
+def _row_runs(indptr: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of CSR rows with at most ``limit`` adjacency entries
+    and at most ``limit`` rows, or of one longer row, in order."""
     lo, n = 0, indptr.size - 1
     while lo < n:
-        hi = int(np.searchsorted(indptr, indptr[lo] + _EDGE_CHUNK, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + _EDGE_CHUNK)
+        hi = int(np.searchsorted(indptr, indptr[lo] + limit, side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + limit)
         yield lo, hi
         lo = hi
 
@@ -300,7 +302,7 @@ def _source_ids(g: ExplicitGraph, sources: Iterable[int] | None) -> np.ndarray:
 
 
 def _pull_blocks(g: ExplicitGraph) -> list[tuple[int, int, slice | np.ndarray, np.ndarray]]:
-    """Runs of CSR rows with at most _PULL_BLOCK adjacency entries, or one longer row.
+    """The :func:`_row_runs` of at most _PULL_BLOCK adjacency entries and rows.
 
     Each block is (first entry, end entry, its rows that have neighbours as a
     slice or an index array, their first entries counted from the block's).
@@ -309,16 +311,12 @@ def _pull_blocks(g: ExplicitGraph) -> list[tuple[int, int, slice | np.ndarray, n
     indptr = g.indptr
     has_nbrs = np.diff(indptr) > 0
     blocks = []
-    lo = 0
-    while lo < g.n:
-        hi = int(np.searchsorted(indptr, indptr[lo] + _PULL_BLOCK, side="right")) - 1
-        hi = min(max(hi, lo + 1), g.n)
+    for lo, hi in _row_runs(indptr, _PULL_BLOCK):
         nz = has_nbrs[lo:hi]
         if nz.any():
             rows = slice(lo, hi) if nz.all() else np.flatnonzero(nz) + lo
             start = int(indptr[lo])
             blocks.append((start, int(indptr[hi]), rows, indptr[lo:hi][nz] - start))
-        lo = hi
     return blocks
 
 
@@ -423,7 +421,8 @@ def iter_distance_rows(
     over cache-sized blocks of rows (the direction switch of Beamer et al.,
     *Direction-Optimizing Breadth-First Search*, SC 2012).  A chunk stops once
     every vertex holds every source's bit.  A source's row holds the level at
-    which its bit reached each vertex.
+    which its bit reached each vertex.  The chunks follow ``sources`` in the
+    order given (every vertex in order when None), and the rows are never kept.
     """
     for chunk, _, rows in _scan(g, _source_ids(g, sources), rows=True):
         yield chunk, rows
@@ -434,33 +433,20 @@ def _class_ids(g: ExplicitGraph) -> np.ndarray:
     return np.arange(g.n, dtype=np.int64) if g.classes is None else _sorted_unique(g.classes)
 
 
-def _tabulate(g: ExplicitGraph, chunks: list[tuple[np.ndarray, np.ndarray]]):
-    """The (ids, table, connected) result of per-chunk (chunk, counts) pairs."""
-    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [chunk for chunk, _ in chunks])
-    table = np.zeros((ids.size, max((c.shape[1] for _, c in chunks), default=1)), dtype=np.int32)
-    lo = 0
-    for _, counts in chunks:
-        table[lo:lo + len(counts), :counts.shape[1]] = counts
-        lo += len(counts)
-    connected = bool((table.sum(axis=1) == g.n).all())
-    ids.setflags(write=False)
-    table.setflags(write=False)
-    return ids, table, connected
-
-
 def distance_histograms(
     g: ExplicitGraph, sources: Iterable[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """(source ids, table, connected): table[i, L] vertices at distance exactly L from source i.
 
-    ``table`` is a read-only int32 array as wide as the largest finite distance
-    seen plus one; unreachable vertices are in no column, and ``connected``
-    is False when any source misses a vertex.  With ``sources`` None the table
-    covers every vertex with one row per class of ``g.classes`` (per vertex
-    when the graph has none), the ids are the class representatives, and the
-    result is kept on the graph, so later calls (and every all-source
-    analysis) reuse one sweep; a call naming sources neither reads nor
-    stores it.
+    The ids are the sources in the order given, and ``table`` is a read-only
+    int32 array as wide as the largest finite distance seen plus one;
+    unreachable vertices are in no column, and ``connected`` is False when
+    any source misses a vertex.  With ``sources`` None the table covers every
+    vertex with one row per class of ``g.classes`` (per vertex when the graph
+    has none), the ids are the class representatives, and the result is kept
+    on the graph, so later calls (and every all-source analysis) reuse one
+    sweep; a call naming sources neither reads nor stores it.  This is the
+    only function that writes the kept table.
 
     The counts come straight from the sweep of :func:`iter_distance_rows`,
     push and pull steps alike (Beamer et al., SC 2012): ``table[i, L]`` is the
@@ -468,24 +454,19 @@ def distance_histograms(
     """
     if sources is None and g._histograms is not None:
         return g._histograms
-    srcs = _class_ids(g) if sources is None else _source_ids(g, sources)
-    result = _tabulate(g, [(chunk, counts) for chunk, counts, _ in _scan(g, srcs, rows=False)])
+    ids = _class_ids(g) if sources is None else _source_ids(g, sources)
+    chunks = [counts for _, counts, _ in _scan(g, ids, rows=False)]
+    table = np.zeros((ids.size, max((c.shape[1] for c in chunks), default=1)), dtype=np.int32)
+    lo = 0
+    for counts in chunks:
+        table[lo:lo + len(counts), :counts.shape[1]] = counts
+        lo += len(counts)
+    ids.setflags(write=False)
+    table.setflags(write=False)
+    result = ids, table, bool((table.sum(axis=1) == g.n).all())
     if sources is None:
         g._histograms = result
     return result
-
-
-def _class_rows(g: ExplicitGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(source ids, int32 distance rows) chunks from the sources of the all-source table.
-
-    The same sweep fills the table :func:`distance_histograms` keeps, which
-    is stored once the last chunk has been taken.
-    """
-    chunks = []
-    for chunk, counts, rows in _scan(g, _class_ids(g), rows=True):
-        chunks.append((chunk, counts))
-        yield chunk, rows
-    g._histograms = _tabulate(g, chunks)
 
 
 def diameter(g: ExplicitGraph) -> tuple[int, bool]:
@@ -539,7 +520,7 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     np.cumsum(lengths, out=indptr[1:])
     shift = np.repeat(row_ptr[:-1], counts) - indptr[:-1]
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for lo, hi in _row_runs(indptr):
+    for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
         a, b = indptr[lo], indptr[hi]
         indices[a:b] = rows[np.repeat(shift[lo:hi], lengths[lo:hi]) + np.arange(a, b)]
     labels = None

@@ -158,61 +158,37 @@ def plan_parameters(n: int, epsilon) -> Plan:
     within = _pow_at_most_pow2(n, p, q)  # eps <= 1 / log2(n)  <=>  n^p <= 2^q
 
     if p * p * n < 4 * q * q:  # eps < 2 / sqrt(n): constant d suffices, take K_n
-        return Plan(
-            n_target=n,
-            epsilon=eps,
-            degenerate=True,
-            r=n,
-            k=1,
-            base_n=n,
-            predicted_d=1,
-            copy_floor=1,
-            copy_ceil=1,
-            ceil_count=0,
-            selection_epsilon=eps,
-            within_hypothesis=within,
-            k_bound_ok=_k_bound_ok(1, n, eps),
-        )
-
-    m = 0
-    while 2 ** (2 ** (m + 1)) <= n:
-        m += 1
-    base_n = 2 ** (2**m)
-    direct = base_n == n
-    sel = eps if direct else eps / 2
-    sp, sq = sel.numerator, sel.denominator
-
-    chosen = None
-    for b in range(m, -1, -1):
-        a = m - b
-        # 2^(2b) / 2^(2^a) <= sel
-        lower_ok = sq * 2 ** (2 * b) <= sp * 2 ** (2**a)
-        # sel < 2^(2(b+1)) / 2^(2^(a-1)), squared to keep a = 0 integral
-        upper_ok = sp * sp * 2 ** (2**a) < sq * sq * 2 ** (4 * b + 4)
-        if lower_ok and upper_ok:
-            chosen = (a, b)
-            break
-    if chosen is None:
-        raise OutOfRange(f"no (a, b) split of m={m} fits epsilon {sel}")
-    a, b = chosen
-    r = 2 ** (2**a)
-    k = 2**b
-    if direct:
-        floor = ceil = 1
-        ceil_count = 0
+        r, k, base_n, sel, m, a, b = n, 1, n, eps, None, None, None
     else:
-        floor, ceil_count = divmod(n, base_n)
-        ceil = floor + 1 if ceil_count else floor
+        m = 0
+        while 2 ** (2 ** (m + 1)) <= n:
+            m += 1
+        base_n = 2 ** (2**m)
+        sel = eps if base_n == n else eps / 2
+        sp, sq = sel.numerator, sel.denominator
+        for b in range(m, -1, -1):
+            a = m - b
+            # 2^(2b) / 2^(2^a) <= sel
+            lower_ok = sq * 2 ** (2 * b) <= sp * 2 ** (2**a)
+            # sel < 2^(2(b+1)) / 2^(2^(a-1)), squared to keep a = 0 integral
+            upper_ok = sp * sp * 2 ** (2**a) < sq * sq * 2 ** (4 * b + 4)
+            if lower_ok and upper_ok:
+                break
+        else:
+            raise OutOfRange(f"no (a, b) split of m={m} fits epsilon {sel}")
+        r, k = 2 ** (2**a), 2**b
+    # One copy of each vertex (1, 1, 0) when no blow-up is needed.
+    floor, ceil_count = divmod(n, base_n)
     return Plan(
         n_target=n,
         epsilon=eps,
-        degenerate=False,
+        degenerate=m is None,
         r=r,
         k=k,
         base_n=base_n,
         predicted_d=2**k - 1,
         copy_floor=floor,
-        copy_ceil=ceil,
+        copy_ceil=floor + 1 if ceil_count else floor,
         ceil_count=ceil_count,
         selection_epsilon=sel,
         within_hypothesis=within,

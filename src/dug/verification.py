@@ -39,14 +39,13 @@ from fractions import Fraction
 import numpy as np
 
 from .analyze import (
-    ZeroEpsilon,
     _epsilon_at,
     best_uniformity,
     check_min_degree,
     check_neighborhood_growth,
     check_upper_bound,
 )
-from .graph import _class_rows, build_explicit, diameter
+from .graph import build_explicit, diameter, iter_distance_rows
 from .hanoi import (
     DEFAULT_STATE_CAP,
     INVOLUTE,
@@ -289,12 +288,11 @@ def run_verify_suite(
 
         sources, pair_a, pair_b, distinct = orbits
         # Distances from the state-orbit representatives, gathered per pair
-        # representative; the rows themselves are dropped chunk by chunk.  The
-        # canonical states are the classes of gp, so the sweep that yields
-        # these rows also fills the histogram table the analyses below read.
+        # representative; the rows themselves are dropped chunk by chunk.  They
+        # come in the order of ``sources``, the positions pair_a indexes.
         pair_dist = np.empty(pair_a.size, dtype=np.int32)
         lo = 0
-        for chunk, rows in _class_rows(gp):
+        for chunk, rows in iter_distance_rows(gp, sources):
             s, e = np.searchsorted(pair_a, [lo, lo + chunk.size])
             pair_dist[s:e] = rows[pair_a[s:e] - lo, pair_b[s:e]]
             lo += chunk.size
@@ -351,8 +349,8 @@ def run_verify_suite(
 
         # Uniformity claim of the construction: at critical distance 2^k - 1
         # the achieved epsilon is at most k^2/r (vacuous when k^2/r >= 1).
-        # It is read from the table the pair-distance sweep kept, one row per
-        # state orbit.
+        # It is read from the all-source table that distance_histograms keeps
+        # on gp, one row per class of gp.classes (per vertex without it).
         report = best_uniformity(gp)
         eps_at_target = _epsilon_at(gp, target)
         claim = Fraction(k * k, r)
@@ -376,34 +374,27 @@ def run_verify_suite(
             detail += f"; window d <= diam <= 2d at d={report.d}"
         results.append(CheckResult("diameter", ok, detail))
 
-        # Structural checkers (vacuous at epsilon = 0).
-        try:
-            ok = check_min_degree(gp, report)
-            results.append(CheckResult("min-degree bound", ok))
-        except ZeroEpsilon:
-            results.append(
-                CheckResult("min-degree bound", True, "vacuous at eps=0", skipped=True)
+        # Structural checkers, all vacuous at epsilon = 0.  Epsilon is the
+        # largest offcount over n, and an offcount is at most n - 1, so any
+        # other epsilon lies in the upper bound's domain 0 < eps < 1.
+        if report.epsilon == 0:
+            results.extend(
+                CheckResult(name, True, "vacuous at eps=0", skipped=True)
+                for name in ("min-degree bound", "neighborhood growth",
+                             "critical-distance upper bound")
             )
-        try:
+        else:
+            results.append(CheckResult("min-degree bound", check_min_degree(gp, report)))
             rows = check_neighborhood_growth(gp, report)
-            ok = all(row.ok for row in rows)
             detail = "; ".join(
                 f"|N_{row.radius}| >= {row.required}: min {row.min_ball}" for row in rows
             )
-            results.append(CheckResult("neighborhood growth", ok, detail))
-        except ZeroEpsilon:
             results.append(
-                CheckResult("neighborhood growth", True, "vacuous at eps=0", skipped=True)
+                CheckResult("neighborhood growth", all(row.ok for row in rows), detail)
             )
-        if 0 < report.epsilon < 1:
-            ok = check_upper_bound(n, report.epsilon, report.d)
-            results.append(CheckResult("critical-distance upper bound", ok))
-        else:
-            results.append(
-                CheckResult(
-                    "critical-distance upper bound", True, "vacuous at eps=0", skipped=True
-                )
-            )
+            results.append(CheckResult(
+                "critical-distance upper bound", check_upper_bound(n, report.epsilon, report.d)
+            ))
     else:
         results.append(
             CheckResult("solver vs BFS bounds", True, "graph has one vertex", skipped=True)

@@ -25,6 +25,7 @@ from dug import (
     HanoiParams,
     TooLarge,
     best_uniformity,
+    bfs_distances,
     build_explicit,
     enumerate_states,
     iter_distance_rows,
@@ -697,14 +698,39 @@ def test_solver_row_needs_every_orbit(monkeypatch):
 
 @pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
 def test_pair_orbit_sources_are_the_class_representatives(r, k):
-    """The suite's pair distances come from the sweep of the classes' representatives."""
+    """The pair-orbit sources are the builder's class representatives.
+
+    The suite does not rely on it: it sweeps ``sources`` by name, and the
+    class table separately.  This only documents that both reductions agree.
+    """
     params = HanoiParams(r, k, proper=True)
     sources = _pair_orbits(state_matrix(params))[0]
     assert sources.tolist() == np.unique(build_explicit(params).classes).tolist()
 
 
-def test_suite_sweeps_the_proper_graph_once(monkeypatch, capsys):
-    built, scans = {}, Counter()
+@pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
+def test_suite_needs_no_class_index(monkeypatch, capsys, r, k):
+    """Correct graphs without ``classes`` pass every row and print the same table."""
+    argv = ["verify", "--r", str(r), "--k", str(k)]
+    assert cli_dispatch(argv) == 0
+    indexed = capsys.readouterr().out
+    real = dug.verification.build_explicit
+
+    def unindexed(params, cap=DEFAULT_STATE_CAP):
+        g = real(params, cap)
+        g.classes = None
+        return g
+
+    monkeypatch.setattr(dug.verification, "build_explicit", unindexed)
+    results = run_verify_suite(r, k)
+    assert [c for c in results if not c.ok] == []
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == indexed
+
+
+def test_suite_sweeps_the_proper_graph_twice(monkeypatch, capsys):
+    """Once for the rows of the pair-orbit sources, once for the kept class table."""
+    built, scans = {}, []
     real_build, real_scan = dug.verification.build_explicit, dug.graph._scan
 
     def spy(params, cap=DEFAULT_STATE_CAP):
@@ -712,7 +738,7 @@ def test_suite_sweeps_the_proper_graph_once(monkeypatch, capsys):
         return g
 
     def counting(g, srcs, rows):
-        scans[id(g)] += 1
+        scans.append((id(g), srcs.tolist(), rows))
         return real_scan(g, srcs, rows)
 
     monkeypatch.setattr(dug.verification, "build_explicit", spy)
@@ -720,17 +746,22 @@ def test_suite_sweeps_the_proper_graph_once(monkeypatch, capsys):
     argv = ["verify", "--r", "4", "--k", "3"]
     assert cli_dispatch(argv) == 0
     stdout = capsys.readouterr().out
-    gp = built[HanoiParams(4, 3, proper=True)]
-    assert scans == {id(gp): 1}
-    # the table the pair-distance sweep kept is the one a fresh sweep makes
+    params = HanoiParams(4, 3, proper=True)
+    gp = built[params]
+    sources = _pair_orbits(state_matrix(params))[0].tolist()
+    classes = np.unique(gp.classes).tolist()
+    assert scans == [(id(gp), sources, True), (id(gp), classes, False)]
+    # the kept table is the one a fresh sweep makes
     ids, table, connected = gp._histograms
-    fresh_ids, fresh, fresh_connected = dug.graph.distance_histograms(
-        build_explicit(HanoiParams(4, 3, proper=True)))
+    fresh_ids, fresh, fresh_connected = dug.graph.distance_histograms(build_explicit(params))
     assert np.array_equal(ids, fresh_ids) and connected == fresh_connected
     assert table.dtype == fresh.dtype and np.array_equal(table, fresh)
-    # and stdout is byte for byte that of a suite whose analyses sweep again
-    monkeypatch.setattr(dug.verification, "_class_rows",
-                        lambda g: iter_distance_rows(g, np.unique(g.classes)))
+    # and stdout is byte for byte that of a suite whose pair distances come from the oracle
+    def oracle_rows(g, sources):
+        for s in sources.tolist():
+            yield np.array([s]), bfs_distances(g, s)[None]
+
+    monkeypatch.setattr(dug.verification, "iter_distance_rows", oracle_rows)
     assert cli_dispatch(argv) == 0
     assert capsys.readouterr().out == stdout
 

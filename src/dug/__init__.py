@@ -4,7 +4,27 @@ Builds generalized Tower-of-Hanoi state graphs with exponentially large
 critical distance, solves the underlying game constructively, analyzes
 arbitrary graphs for distance uniformity, and re-derives every structural
 bound at desk scale.
+
+No dug module calls a BLAS routine, so when ``import dug`` is the first to
+load numpy, OpenBLAS starts with one thread and no worker pool.  A caller
+keeps a multi-threaded BLAS by importing numpy first or by setting
+``OPENBLAS_NUM_THREADS`` (or ``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``).
 """
+
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when numpy first loads it.  The
+# variable is set only around that import, so os.environ, and with it every
+# child process, ends as the caller left it.
+if "numpy" not in sys.modules and not any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analyze import (
     BadParams,

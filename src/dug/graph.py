@@ -535,13 +535,14 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
 
     Raises ValueError, before the file is opened, for a label that would not
     load back unchanged: one that is not a str, an empty one, one holding a
-    line break, or one with leading or trailing whitespace.  Edge lines are
-    formatted in bulk by :func:`_edge_lines`, byte for byte as '%d' would,
-    one block of rows at a time.
+    line break, one with leading or trailing whitespace, or one that UTF-8
+    cannot encode (it holds a lone surrogate).  Edge lines are formatted in
+    bulk by :func:`_edge_lines`, byte for byte as '%d' would, one block of
+    rows at a time.
     """
     for v, lab in enumerate(g.labels or ()):
         if (not isinstance(lab, str) or not lab or lab != lab.strip()
-                or "\n" in lab or "\r" in lab):
+                or "\n" in lab or "\r" in lab or not _is_utf8(lab)):
             raise ValueError(f"label {lab!r} of vertex {v} would not load back unchanged")
     with open(path, "wb") as fh:
         fh.write(f"dug 1 {g.n} {g.m}\n".encode())
@@ -550,6 +551,14 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
         width = len(str(g.n - 1))
         for block in g._edge_blocks():
             fh.write(_edge_lines(block, width))
+
+
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _edge_lines(edges: np.ndarray, width: int) -> bytes:

@@ -601,13 +601,17 @@ class TestEdgeListIO:
         assert [e for block in blocks for e in block] == [list(e) for e in reference_edges(g)]
         assert f.read_bytes() == reference_text(g).encode()
 
-    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", " a", "a ", 7])
+    @pytest.mark.parametrize("bad", ["", "a\nb", "a\rb", " a", "a ", 7, "\ud800"])
     def test_save_refuses_label_that_would_not_load_back(self, tmp_path, bad):
         g = ExplicitGraph.from_edges(2, [(0, 1)], labels=["x", bad])
         f = tmp_path / "g.dug"
         with pytest.raises(ValueError, match="would not load back"):
             save_edge_list(g, f)
         assert not f.exists()
+        f.write_bytes(b"dug 1 1 0\n")
+        with pytest.raises(ValueError, match="would not load back"):
+            save_edge_list(g, f)
+        assert f.read_bytes() == b"dug 1 1 0\n"
 
     @pytest.mark.parametrize("body", ["dug 1 3 2\ne 0 1\ne 1 2\n", "dug 1 3 2\ne 0 1\r\ne 1 2\n",
                                       "dug 1 3 2\ne 0 1\ne 0 1\n", "dug 1 3 0\n"])

@@ -1,15 +1,24 @@
-"""Every name a dug module imports is used in that module, and only graph.py
-names the BFS oracle.
+"""Every name a dug module imports is used in that module, only graph.py
+names the BFS oracle, no module calls BLAS, and ``import dug`` starts no
+OpenBLAS thread pool.
 
 A `# noqa` comment on the line of an imported name exempts it (a binding kept
 for code outside the module).  ``__init__.py`` is left out: it imports names
 to re-export them.  ``bfs_distances`` cross-checks the bit-parallel distance
-engine in the tests, so no other module may run it in its stead.
+engine in the tests, so no other module may run it in its stead.  Since no
+module calls a BLAS routine, ``import dug`` loads numpy's OpenBLAS with one
+thread; the fresh interpreters below check that it leaves ``os.environ`` and
+a caller's own BLAS settings as they were.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dug"
@@ -66,3 +75,69 @@ def test_names_used_sees_imports_reads_and_attributes():
 )
 def test_only_graph_names_the_bfs_oracle(module):
     assert "bfs_distances" not in names_used((SRC / module).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_calls_blas(module):
+    """What makes a one-thread OpenBLAS free: dug never calls it."""
+    source = (SRC / module).read_text(encoding="utf-8")
+    blas = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+    assert names_used(source) & blas == set()
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(ast.parse(source)))
+
+
+def blas_name() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 only prints its build config
+        return "unknown"
+    return config["Build Dependencies"]["blas"]["name"]
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def import_dug_fresh(first: str, **env) -> dict:
+    """Run `first`, then `import dug`, in a new interpreter whose environment
+    sets none of BLAS_THREADS but those given.  Report os.environ and the
+    OS thread count (None without /proc) before and after the import."""
+    script = (
+        "import json, os\n"
+        "def threads():\n"
+        "    task = '/proc/self/task'\n"
+        "    return len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "environ = dict(os.environ)\n"
+        f"{first}\n"
+        "threads_before = threads()\n"
+        "import dug\n"
+        "print(json.dumps({'environ_before': environ, 'environ': dict(os.environ),\n"
+        "                  'threads_before': threads_before, 'threads': threads()}))\n"
+    )
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**base, **env}, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_dug_starts_one_thread_and_keeps_environ():
+    got = import_dug_fresh("")
+    assert got["environ"] == got["environ_before"]
+    assert not got["environ"].keys() & set(BLAS_THREADS)
+    if got["threads"] is not None and "openblas" in blas_name():
+        assert got["threads"] == 1
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_dug_keeps_a_callers_blas_threads(name):
+    got = import_dug_fresh("", **{name: "2"})
+    assert got["environ"] == got["environ_before"]
+    assert got["environ"].keys() & set(BLAS_THREADS) == {name}
+    assert got["environ"][name] == "2"
+
+
+def test_import_dug_after_numpy_changes_nothing():
+    got = import_dug_fresh("import numpy")
+    assert got["environ"] == got["environ_before"]
+    assert not got["environ"].keys() & set(BLAS_THREADS)
+    assert got["threads"] == got["threads_before"]

@@ -11,8 +11,6 @@ path is whitespace-separated moves, e.g. ``a3 i a0``.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,8 +52,9 @@ def _alternating(first: int, second: int, length: int) -> State:
     return ((first, second) * ((length + 1) // 2))[:length]
 
 
-# Bounded so that a long-lived caller does not grow it without limit.  solve
-# keeps no top-level pair: an exhaustive verify at (4, 4) needs 1 203 entries.
+# Bounded so that a long-lived caller does not grow it without limit.  It holds
+# the sub-paths that solve's calls share, not their top-level pairs: solving all
+# 65 536 pairs of (4, 4) leaves 6 757 entries.
 @lru_cache(maxsize=1 << 16)
 def _construct(a: State, b: State) -> tuple[Move, ...]:
     # Recursion from the 2^k - 1 upper-bound proof.  Moves carry no positions,
@@ -85,12 +84,7 @@ def solve(a, b, params: HanoiParams) -> MovePath:
     """
     start = make_state(a, params)
     goal = make_state(b, params)
-    return MovePath(start=start, moves=_solve_moves(start, goal))
-
-
-def _solve_moves(a: State, b: State) -> tuple[Move, ...]:
-    """The moves of :func:`solve`'s path between two states the caller has validated."""
-    return _construct.__wrapped__(a, b)
+    return MovePath(start=start, moves=_construct.__wrapped__(start, goal))
 
 
 def verify_path(path: MovePath, params: HanoiParams) -> State:
@@ -115,66 +109,63 @@ def path_states(path: MovePath, params: HanoiParams) -> list[State]:
     return states
 
 
-# Moves replayed per block by _replay_walks, a walk counting one more than its
-# moves: it bounds the block's paths and code arrays whatever the total count.
-_BLOCK_MOVES = 1 << 17
+def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
+    """:func:`_construct` for the pairs of rows of ``a`` and ``b`` (p x k), as move codes.
+
+    Returns a (p, 2^k - 1) matrix with one slot per node of the recursion's
+    binary tree, in order: -1 for an empty slot, c for the adjustment to c and
+    r + 1 for the involution.  Row i's codes other than -1 are the moves of
+    ``_construct(a[i], b[i])``.  Each level of the tree takes one round of
+    array operations, over the sub-problems of all p pairs.
+    """
+    p, k = a.shape
+    dtype = np.min_scalar_type(-r - 2)  # holds -1..r + 1
+    codes = np.empty((p, 2**k - 1), dtype=dtype)
+    # Level j's 2^j sub-problems per pair: (start, goal) rows of length k - j.
+    starts, goals = a.astype(dtype)[:, None], b.astype(dtype)[:, None]
+    for j in range(k):
+        x, y = starts[..., :1], goals[..., :1]
+        differ = x != y
+        # Node i of level j sits at slot (2i + 1) 2^(k-1-j) - 1.
+        codes[:, (1 << (k - 1 - j)) - 1::1 << (k - j)] = np.where(
+            differ, y if j == k - 1 else r + 1, -1)[..., 0]
+        # Node i's children are nodes 2i and 2i + 1 of the next level (empty
+        # after the last).  First entries that differ split the pair at the
+        # alternating states (x, y, x, ...) and (y, x, y, ...), whose tails are
+        # the left goal and the right start; first entries that agree leave the
+        # tails on the left and an empty pair on the right.
+        nxt = np.broadcast_to(goals[:, :, None, 1:], (2, p, 2**j, 2, k - j - 1)).copy()
+        nxt[0, :, :, 0] = starts[..., 1:]  # nxt: the next level's (starts, goals)
+        for side, u, w in ((nxt[1, :, :, 0], y, x), (nxt[0, :, :, 1], x, y)):
+            np.copyto(side[..., 0::2], u, where=differ)
+            np.copyto(side[..., 1::2], w, where=differ)
+        starts, goals = nxt.reshape(2, p, 2 ** (j + 1), k - j - 1)
+    return codes
 
 
-def _blocks(walks):
-    """Lists of consecutive walks, each closed once it holds _BLOCK_MOVES moves."""
-    block, size = [], 0
-    for walk in walks:
-        block.append(walk)
-        size += len(walk[2]) + 1
-        if size >= _BLOCK_MOVES:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
+def _replay_codes(codes: np.ndarray, starts: np.ndarray, goals: np.ndarray,
+                  table: np.ndarray, first: np.ndarray) -> bool:
+    """Replay each row of a move-code matrix over vertex ids, a column at a time.
 
-
-def _replay_walks(walks, table: np.ndarray, first: np.ndarray, params: HanoiParams) -> bool:
-    """Replay (start, goal, moves) walks over vertex ids, a block of walks in step.
-
-    True when every walk's moves are legal, keep its first entry at its
-    start's or goal's, and lead from its start to its goal.  A move is coded
-    as its adjustment target, or r + 1 for the involution; ``table[v, code]``
-    is the vertex it leads to from v, -1 when it is illegal there, and
+    True when every row's codes are legal moves from vertex ``starts[i]``,
+    keep its first entry at its start's or goal's, and lead to ``goals[i]``.
+    Codes are those of :func:`_construct_codes`; ``table[v, c]`` is the
+    vertex that code c leads to from v, -1 when it is illegal there, and
     ``first[v]`` is v's first entry.  The replay calls no move function.
     """
-    r1 = params.r + 1
-    # first_of[-1] = -1 is no walk's first entry, so an illegal move fails that test.
-    first_of = np.append(first, -1)
-    for block in _blocks(walks):
-        starts, goals, moves = zip(*block)
-        counts = np.fromiter(map(len, moves), dtype=np.int64, count=len(moves))
-        # NaN codes the involution, so that no adjustment target reads as one.
-        codes = np.fromiter(
-            (math.nan if m is INVOLUTE else m.value for m in itertools.chain.from_iterable(moves)),
-            dtype=np.float64,
-            count=int(counts.sum()),
-        )
-        # An adjustment outside 0..r is refused by apply_move from every state.
-        if ((codes < 0) | (codes > params.r)).any():
-            return False
-        codes[np.isnan(codes)] = r1
-        codes = codes.astype(np.min_scalar_type(r1))
-        # Longest walks first, so the walks still moving at step t are a prefix.
-        order = np.argsort(-counts, kind="stable")
-        offsets = (np.cumsum(counts) - counts)[order]
-        counts = counts[order]
-        v = np.array(starts, dtype=np.int64)[order]
-        goal = np.array(goals, dtype=np.int64)[order]
-        fa, fb = first_of[v], first_of[goal]
-        moving = np.searchsorted(-counts, -np.arange(counts[0]))  # walks longer than t
-        for t, m in enumerate(moving.tolist()):
-            v[:m] = table[v[:m], codes[offsets[:m] + t]]
-            f = first_of[v[:m]]
-            if ((f != fa[:m]) & (f != fb[:m])).any():
-                return False
-        if not np.array_equal(v, goal):
-            return False
-    return True
+    # A code outside -1..r + 1 is no move: r + 2 would index past the table,
+    # and -2 would pass as an empty slot.
+    if ((codes < -1) | (codes >= table.shape[1])).any():
+        return False
+    visited = np.empty(codes.shape[::-1], dtype=table.dtype)
+    v = starts
+    for c, row in zip(codes.T, visited):
+        v = row[:] = np.where(c < 0, v, table[v, c])
+    # Vertex -1 has first entry -1, no start's or goal's, so a walk that made
+    # an illegal move fails here, whatever it read from the table after.
+    firsts = np.append(first, -1)[visited]
+    return bool(((firsts == first[starts]) | (firsts == first[goals])).all()
+                and np.array_equal(v, goals))
 
 
 def format_move(move: Move) -> str:

@@ -23,11 +23,12 @@ random states, so the table equals the move rules on every state: 79
 A fault in ``apply_move`` that shows only on non-canonical states passes the
 suite and fails that test, the trade the solver row already makes.  The
 adjacency-symmetry row reads the same table's canonical rows, the involution
-row all of it, and the solver paths are replayed together over vertex ids
-through the proper one, with no ``apply_move`` call for their 27 060 moves.
-A move that breaks the rules fails the solver row; it is not an input error.
-The solver runs on states that the "state counts" row validated in bulk, so
-no call re-validates them.
+row all of it.  The solver paths of a block of pair orbits are built as one
+matrix of move codes and replayed column by column over vertex ids through
+the proper one, with no ``apply_move`` call for their 27 060 moves.  A move
+that breaks the rules fails the solver row; it is not an input error.  The
+solver runs on states that the "state counts" row validated in bulk, so no
+call re-validates them.
 """
 
 from __future__ import annotations
@@ -61,8 +62,12 @@ from .hanoi import (
     state_index,
     state_matrix,
 )
-from .solver import _replay_walks, _solve_moves
+from .solver import _construct_codes, _replay_codes
 from .truncation import _certify, iterate_truncation
+
+
+# Move codes per block of solver paths: bounds their memory whatever the pair count.
+_BLOCK_CODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -313,30 +318,31 @@ def run_verify_suite(
         ok = covered == total_pairs
         if not ok:
             scope += f"; orbits cover {covered} of {total_pairs} pairs"
-        lengths = np.full(pair_a.size, -1, dtype=np.int32)  # -1 until solved
-        listed = list(map(tuple, states_p.tolist()))  # validated by the "state counts" row
-
-        def solved(p):
-            moves = _solve_moves(listed[first[p]], listed[pair_b[p]])
-            lengths[p] = len(moves)
-            return moves
-
-        walks = ((first[p], pair_b[p], solved(p)) for p in picked)
-        replayed = _replay_walks(walks, table_p, states_p[:, 0], proper)
+        # Solve the sample and every disjoint-support orbit in blocks; replay the sample.
+        seconds = states_p[pair_b]
+        shared = np.zeros(pair_a.size, dtype=bool)
+        for j in range(k):
+            shared |= (seconds == states_p[first, j][:, None]).any(axis=1)
+        replay = np.zeros(pair_a.size, dtype=bool)
+        replay[picked] = True
+        solved = np.flatnonzero(replay | ~shared)
+        lengths = np.zeros(pair_a.size, dtype=np.int32)
+        replayed = True
+        step = max(1, _BLOCK_CODES >> k)
+        for lo in range(0, solved.size, step):
+            p = solved[lo:lo + step]
+            codes = _construct_codes(states_p[first[p]], states_p[pair_b[p]], r)
+            lengths[p] = (codes >= 0).sum(axis=1)
+            p, codes = p[replay[p]], codes[replay[p]]
+            replayed = replayed and _replay_codes(
+                codes, first[p], pair_b[p], table_p, states_p[:, 0])
         ok = ok and replayed and bool(
             (lengths[picked] <= target).all() and (lengths[picked] >= pair_dist[picked]).all()
         )
         results.append(CheckResult("solver vs BFS bounds", ok, scope))
 
         # Disjoint support forces distance exactly 2^k - 1, and the solver meets it.
-        # Only representatives the solver row left out are solved again.
-        seconds = states_p[pair_b]
-        shared = np.zeros(pair_a.size, dtype=bool)
-        for j in range(k):
-            shared |= (seconds == states_p[first, j][:, None]).any(axis=1)
         disjoint = np.flatnonzero(~shared)
-        for p in disjoint[lengths[disjoint] < 0].tolist():
-            solved(p)
         exact_bfs = bool((pair_dist[disjoint] == target).all())
         exact_solver = bool((lengths[disjoint] == target).all())
         results.append(

@@ -1,6 +1,7 @@
 """Every name a dug module imports is used in that module, only graph.py
-names the BFS oracle, no module calls BLAS, and ``import dug`` starts no
-OpenBLAS thread pool.
+names the BFS oracle and only solver.py the scalar solver recursion, no module
+calls BLAS or a numpy set routine, and ``import dug`` starts no OpenBLAS
+thread pool.
 
 A `# noqa` comment on the line of an imported name exempts it (a binding kept
 for code outside the module).  ``__init__.py`` is left out: it imports names
@@ -8,7 +9,11 @@ to re-export them.  ``bfs_distances`` cross-checks the bit-parallel distance
 engine in the tests, so no other module may run it in its stead.  Since no
 module calls a BLAS routine, ``import dug`` loads numpy's OpenBLAS with one
 thread; the fresh interpreters below check that it leaves ``os.environ`` and
-a caller's own BLAS settings as they were.
+a caller's own BLAS settings as they were.  The first call of ``np.unique``
+or a numpy set routine imports ``numpy.ma`` (16-23 ms on a 2-CPU x86_64 host),
+so no module names one, and the verify suite and the CLI round trip leave
+``numpy.ma`` unimported.  The verify suite builds its solver paths in blocks
+(``solver._construct_codes``), so no module but solver.py names ``_construct``.
 """
 
 import ast
@@ -77,6 +82,38 @@ def test_only_graph_names_the_bfs_oracle(module):
     assert "bfs_distances" not in names_used((SRC / module).read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "solver.py"))
+def test_only_solver_names_the_scalar_recursion(module):
+    assert "_construct" not in names_used((SRC / module).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_names_a_numpy_set_routine(module):
+    """Each of these imports numpy.ma on its first call; np.isin, np.sort and np.lexsort do not."""
+    routines = {"unique", "unique_values", "union1d", "intersect1d", "setdiff1d", "setxor1d"}
+    assert names_used((SRC / module).read_text(encoding="utf-8")) & routines == set()
+
+
+def test_verify_and_the_cli_round_trip_leave_numpy_ma_unimported(tmp_path):
+    base, big = str(tmp_path / "base.el"), str(tmp_path / "big.el")
+    argvs = [
+        ["plan", "--n", "5000", "--epsilon", "1/2", "--json"],
+        ["generate", "--r", "16", "--k", "2", "--proper", "--out", base],
+        ["blowup", "--in", base, "--n-target", "5000", "--out", big],
+        ["analyze", "--in", big, "--sources", "64", "--json"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from dug import run_verify_suite\n"
+        "from dug.cli import cli_dispatch\n"
+        "passed = all(c.ok for c in run_verify_suite(4, 4))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli_dispatch(argv) for argv in {argvs!r}]\n"
+        "print(passed, codes, 'numpy.ma' in sys.modules)\n"
+    )
+    assert run_fresh(script) == "True [0, 0, 0, 0] False\n"
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_calls_blas(module):
     """What makes a one-thread OpenBLAS free: dug never calls it."""
@@ -113,11 +150,17 @@ def import_dug_fresh(first: str, **env) -> dict:
         "print(json.dumps({'environ_before': environ, 'environ': dict(os.environ),\n"
         "                  'threads_before': threads_before, 'threads': threads()}))\n"
     )
+    return json.loads(run_fresh(script, **env))
+
+
+def run_fresh(script: str, **env) -> str:
+    """Stdout of `script` in a new interpreter that imports dug from SRC and
+    whose environment sets none of BLAS_THREADS but those given."""
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**base, **env}, check=True)
-    return json.loads(proc.stdout)
+    return proc.stdout
 
 
 def test_import_dug_starts_one_thread_and_keeps_environ():

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dug import (
     INVOLUTE,
@@ -17,7 +18,7 @@ from dug import (
     solve,
     verify_path,
 )
-from dug.solver import _construct
+from dug.solver import _construct, _construct_codes
 
 from conftest import move_adjacency, oracle_all_pairs
 
@@ -128,20 +129,21 @@ class TestMoveText:
         assert parse_path("a0 i a3") == moves
 
 
+def draw_state(draw, r: int, k: int, proper: bool):
+    """One state of (r, k) in the given mode."""
+    entries = [draw(st.integers(1 if proper else 0, r))]
+    for _ in range(k - 1):
+        digit = draw(st.integers(0, r - 1))
+        entries.append(digit + (1 if digit >= entries[-1] else 0))
+    return tuple(entries)
+
+
 @st.composite
 def proper_pair(draw):
     r = draw(st.integers(2, 6))
     k = draw(st.integers(1, 5))
     p = HanoiParams(r, k, proper=True)
-
-    def one_state():
-        entries = [draw(st.integers(1, r))]
-        for _ in range(k - 1):
-            digit = draw(st.integers(0, r - 1))
-            entries.append(digit + (1 if digit >= entries[-1] else 0))
-        return tuple(entries)
-
-    return p, one_state(), one_state()
+    return p, draw_state(draw, r, k, True), draw_state(draw, r, k, True)
 
 
 @given(proper_pair())
@@ -160,16 +162,8 @@ def relabeled_pair(draw):
     r = draw(st.integers(2, 7))
     k = draw(st.integers(1, 6))
     proper = draw(st.booleans())
-
-    def one_state():
-        entries = [draw(st.integers(1 if proper else 0, r))]
-        for _ in range(k - 1):
-            digit = draw(st.integers(0, r - 1))
-            entries.append(digit + (1 if digit >= entries[-1] else 0))
-        return tuple(entries)
-
     sigma = [0, *draw(st.permutations(range(1, r + 1)))]
-    return one_state(), one_state(), sigma
+    return draw_state(draw, r, k, proper), draw_state(draw, r, k, proper), sigma
 
 
 @given(relabeled_pair())
@@ -185,9 +179,40 @@ def test_construct_commutes_with_relabeling(case):
     assert _construct(relabel(a), relabel(b)) == moved
 
 
+def move_codes(moves, r: int) -> list[int]:
+    """The codes of _construct_codes for a move sequence: c for Adjust(c), r + 1 for INVOLUTE."""
+    return [r + 1 if m is INVOLUTE else m.value for m in moves]
+
+
+@st.composite
+def state_pairs(draw):
+    """r, k and a few pairs of states of (r, k), either mode; some pairs repeat a state."""
+    r = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 6))
+    proper = draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw_state(draw, r, k, proper)
+        pairs.append((a, a if draw(st.booleans()) else draw_state(draw, r, k, proper)))
+    return r, k, pairs
+
+
+@given(state_pairs())
+@example((3, 1, [((2,), (2,)), ((1,), (3,))]))
+@example((2, 3, [((1, 0, 1), (1, 0, 1)), ((1, 2, 1), (2, 1, 0))]))
+def test_construct_codes_match_construct(case):
+    r, k, pairs = case
+    a, b = (np.array([pair[i] for pair in pairs], dtype=np.int32) for i in (0, 1))
+    codes = _construct_codes(a, b, r)
+    assert codes.shape == (len(pairs), 2**k - 1)
+    for row, pair in zip(codes.tolist(), pairs):
+        assert [c for c in row if c != -1] == move_codes(_construct(*pair), r)
+
+
 def test_construct_cache_is_bounded():
     limit = _construct.cache_info().maxsize
-    # an exhaustive verify at (4, 4) needs 1 203 entries
+    # solve over the 2 795 pair-orbit representatives of (4, 4) leaves 1 203
+    # sub-paths, over all its 65 536 pairs 6 757
     assert limit is not None and limit >= 1203
     _construct.cache_clear()
     try:

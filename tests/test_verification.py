@@ -30,11 +30,10 @@ from dug import (
     enumerate_states,
     iter_distance_rows,
     legal_moves,
-    solve,
 )
 from dug.cli import cli_dispatch
 from dug.hanoi import _first_appearance, _move_ranks, apply_move, state_index, state_matrix
-from dug.solver import _construct, _replay_walks
+from dug.solver import _construct, _construct_codes, _replay_codes
 from dug.verification import (
     CheckResult,
     _is_equivariant,
@@ -434,15 +433,15 @@ def test_move_rule_fault_off_the_representatives_needs_the_equivariance_test(mon
 
 
 def test_solver_row_lengths_serve_the_disjoint_row(monkeypatch):
-    """Unsampled, each orbit representative is solved once; sampled, the disjoint ones left out once more."""
-    real = dug.verification._solve_moves
+    """Unsampled, each orbit representative is solved once; sampled, the disjoint ones left out too."""
+    real = dug.verification._construct_codes
     calls = Counter()
 
-    def spy(a, b):
-        calls[a, b] += 1
-        return real(a, b)
+    def spy(a, b, r):
+        calls.update(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        return real(a, b, r)
 
-    monkeypatch.setattr(dug.verification, "_solve_moves", spy)
+    monkeypatch.setattr(dug.verification, "_construct_codes", spy)
     proper = HanoiParams(4, 3, proper=True)
     states = state_matrix(proper)
     sources, pair_a, pair_b, _ = _pair_orbits(states)
@@ -580,15 +579,14 @@ def test_broken_solver_fails_pair_rows(monkeypatch):
     hypothesis test of ``_construct``'s equivariance in test_solver.py covers
     those, not this suite.
     """
-    real = dug.verification._solve_moves
+    real = dug.verification._construct_codes
 
-    def lengthened(a, b):
-        moves = real(a, b)
-        if set(a) & set(b):
-            return moves
-        return moves + (Adjust(a[0]), Adjust(b[-1]))
+    def lengthened(a, b, r):
+        shared = (a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
+        extra = np.where(shared[:, None], -1, np.stack([a[:, 0], b[:, -1]], axis=1))
+        return np.hstack([real(a, b, r), extra])
 
-    monkeypatch.setattr(dug.verification, "_solve_moves", lengthened)
+    monkeypatch.setattr(dug.verification, "_construct_codes", lengthened)
     for r, k in ((3, 2), (4, 3)):
         rows = {c.name: c for c in run_verify_suite(r, k)}
         assert not rows["solver vs BFS bounds"].ok
@@ -596,26 +594,35 @@ def test_broken_solver_fails_pair_rows(monkeypatch):
         assert rows[AUTOMORPHISM].ok and rows["diameter"].ok
 
 
-# (a, b) of (3, 2) -> the moves a faulty solver returns for that pair; each
-# fault breaks one rule of the replay and keeps every other one.
+# (a, b) of (3, 2) -> the codes a faulty solver returns for that pair, -1 in
+# the slots after them; each fault breaks one rule of the replay and keeps
+# every other one.  Code 4 is the involution.  A code outside -1..4 names no
+# move: 5 would index past the move table, and -2 after the adjustment from
+# (1, 2) to (1, 3) would pass as an empty slot.
 FAULTS = {
-    "illegal adjustment": (((1, 2), (1, 3)), (Adjust(1),)),
-    "ends at the wrong state": (((1, 2), (1, 3)), (Adjust(0),)),
-    "first entry leaves a_1, b_1": (((1, 2), (1, 3)), (INVOLUTE, INVOLUTE, Adjust(3))),
-    "adjustment past r, where the involution is legal": (((1, 2), (2, 1)), (Adjust(4),)),
+    "illegal adjustment": (((1, 2), (1, 3)), [1]),
+    "ends at the wrong state": (((1, 2), (1, 3)), [0]),
+    "first entry leaves a_1, b_1": (((1, 2), (1, 3)), [4, 4, 3]),
+    "adjustment past r, where the involution is legal": (((1, 2), (2, 1)), [5]),
+    "code below -1 after the right move": (((1, 2), (1, 3)), [3, -2]),
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
     """A path that breaks the move rules is a failed check, not bad input to dug verify."""
-    pair, moves = FAULTS[fault]
-    real = dug.verification._solve_moves
+    (a, b), fault_codes = FAULTS[fault]
+    real = dug.verification._construct_codes
 
-    def faulty(a, b):
-        return moves if (a, b) == pair else real(a, b)
+    def faulty(starts, goals, r):
+        codes = real(starts, goals, r)
+        hit = (starts == a).all(axis=1) & (goals == b).all(axis=1)
+        assert hit.sum() == 1
+        codes[hit] = -1
+        codes[hit, :len(fault_codes)] = fault_codes
+        return codes
 
-    monkeypatch.setattr(dug.verification, "_solve_moves", faulty)
+    monkeypatch.setattr(dug.verification, "_construct_codes", faulty)
     assert [c.name for c in run_verify_suite(3, 2) if not c.ok] == ["solver vs BFS bounds"]
     assert cli_dispatch(["verify", "--r", "3", "--k", "2"]) == 1
     out, err = capsys.readouterr()
@@ -624,21 +631,35 @@ def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
     assert out.endswith("14/15 checks passed\n")
 
 
-def _representative_walks(params):
-    """State matrix, move table and one solver walk per pair-orbit representative."""
+def _representative_codes(params):
+    """State matrix, and the move codes, start and goal vertex of every pair-orbit representative."""
     states = state_matrix(params)
-    listed = enumerate_states(params)
     sources, pair_a, pair_b, _ = _pair_orbits(states)
-    walks = [(a, b, solve(listed[a], listed[b], params).moves)
-             for a, b in zip(sources[pair_a], pair_b)]
-    return states, _move_table(listed, params), walks
+    starts = sources[pair_a]
+    return states, _construct_codes(states[starts], states[pair_b], params.r), starts, pair_b
+
+
+@pytest.mark.parametrize(
+    "r,k", [(r, k) for r, k in DESK if r > 1], ids=[f"r{r}k{k}" for r, k in DESK if r > 1]
+)
+def test_construct_codes_match_construct_on_every_orbit(r, k):
+    states, codes, starts, goals = _representative_codes(HanoiParams(r, k, proper=True))
+    listed = list(map(tuple, states.tolist()))
+    try:
+        for row, a, b in zip(codes.tolist(), starts.tolist(), goals.tolist()):
+            moves = _construct(listed[a], listed[b])
+            assert [c for c in row if c != -1] == [
+                r + 1 if m is INVOLUTE else m.value for m in moves]
+    finally:
+        _construct.cache_clear()
 
 
 def test_replay_calls_no_move_function(monkeypatch):
     """The 2 795 paths of (4, 4), 27 060 moves, replay through the move table alone."""
     proper = HanoiParams(4, 4, proper=True)
-    states, table, walks = _representative_walks(proper)
-    assert (len(walks), sum(len(w[2]) for w in walks)) == (2795, 27060)
+    states, codes, starts, goals = _representative_codes(proper)
+    assert codes.shape == (2795, 15) and int((codes >= 0).sum()) == 27060
+    table = _move_table(list(map(tuple, states.tolist())), proper)
 
     def refused(*args):
         raise AssertionError("the replay applied a move")
@@ -647,23 +668,34 @@ def test_replay_calls_no_move_function(monkeypatch):
         for name in ("apply_move", "legal_moves", "neighbors"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
-    assert _replay_walks(iter(walks), table, states[:, 0], proper)
+    assert _replay_codes(codes, starts, goals, table, states[:, 0])
 
 
 def test_replay_memory_is_bounded_by_the_block(monkeypatch):
-    proper = HanoiParams(2, 7, proper=True)
-    states, table, walks = _representative_walks(proper)
-    first = states[:, 0]
-    quarter = walks[:len(walks) // 4]
-    block = 4096
-    monkeypatch.setattr(dug.solver, "_BLOCK_MOVES", block)
-    assert _replay_walks(iter(quarter), table, first, proper)
-    peaks = [traced_peak(lambda part=part: _replay_walks(iter(part), table, first, proper))
-             for part in (quarter, walks)]
-    moves = sum(len(w[2]) for w in walks)
-    # 349 504 moves: one 8-byte code each would be 2.8 MB.
-    assert moves > 80 * block
-    assert peaks[1] < 32 * block
+    """Solving and replaying four times the pairs adds a few bytes per pair, not its codes.
+
+    (2, 7) has 8 192 pair orbits, 127 code slots each, and no pair of
+    disjoint support, so the sample sets how many are solved.
+    """
+    block = 1 << 14
+    monkeypatch.setattr(dug.verification, "_BLOCK_CODES", block)
+    real = dug.verification._construct_codes
+    sizes = []
+
+    def spy(a, b, r):
+        codes = real(a, b, r)
+        sizes.append(codes.size)
+        return codes
+
+    monkeypatch.setattr(dug.verification, "_construct_codes", spy)
+    peaks = []
+    for limit in (2048, 8192):
+        sizes.clear()
+        peaks.append(traced_peak(lambda: run_verify_suite(2, 7, pair_limit=limit)))
+    assert sum(sizes) == 8192 * 127 and max(sizes) <= block
+    # The sample and the solved pairs are int64 index arrays, 16 bytes a pair;
+    # 6 144 more pairs in one matrix would add 780 288 code slots.
+    assert peaks[1] - peaks[0] < 16 * 6144
     assert peaks[1] < 1.25 * peaks[0]
 
 

@@ -53,12 +53,12 @@ class InconsistentHeader(ValueError):
     """Edge-list body does not match the counts declared in the header."""
 
 
-# Adjacency entries per block of ExplicitGraph._edge_blocks, the one edge
-# enumeration: edges() turns a block into Python objects at a time and
-# save_edge_list into one byte table, so the memory they hold is bounded.
-_EDGE_CHUNK = 1 << 16
-# Bytes of whole lines the bulk edge reader checks and decodes at a time.
-_READ_CHUNK = 1 << 18
+# Adjacency entries (and rows) per block of the loops over a CSR: the edge
+# enumeration, the writer, CSR assembly and blow_up, which allocate their
+# buffers once per call, so their working memory does not grow with m.
+_EDGE_CHUNK = 1 << 14
+# Bytes the bulk edge reader reads into its one buffer and decodes at a time.
+_READ_CHUNK = 1 << 16
 # Adjacency entries a BFS pull step gathers at a time (see _pull).
 _PULL_BLOCK = 1 << 15
 # A BFS level pushes its frontier to the neighbours, instead of pulling, when
@@ -105,8 +105,8 @@ class ExplicitGraph:
         and never written to.  The sort keys, one per adjacency entry, are
         uint32 up to n = 2^16 and then become the int32 indices in place;
         above that they are int64.  Besides them and the result, assembly
-        holds one block of row bounds, so a large n with few edges costs
-        little more than its indptr.
+        holds one block of row bounds or of duplicate flags, so a large n
+        with few edges costs little more than its indptr.
         """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -155,8 +155,11 @@ class ExplicitGraph:
         hi *= kt(max(n - 1, 0))
         hi += lo
         key.sort()
-        if (key[1:] == key[:-1]).any():
-            raise ValueError("duplicate edge in edge list")
+        equal = np.empty(min(_EDGE_CHUNK, key.size), dtype=bool)
+        for a in range(0, key.size - 1, _EDGE_CHUNK):  # the blocks overlap by one key
+            b = min(a + _EDGE_CHUNK, key.size - 1)
+            if np.equal(key[a + 1:b + 1], key[a:b], out=equal[:b - a]).any():
+                raise ValueError("duplicate edge in edge list")
         # Row w's entries are the keys in [w * n, (w + 1) * n).  The bounds are
         # searched as kt, which n * n itself may overflow, so no key is widened,
         # one block of rows at a time, so nothing else is n-sized.
@@ -179,27 +182,35 @@ class ExplicitGraph:
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def _edge_blocks(self) -> Iterator[np.ndarray]:
-        """The edges as (u, v) with u < v, in sorted order, in (k, 2) int64 blocks.
+    def _edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The edges (u, v) with u < v, in sorted order, as int32 arrays of u and of v.
 
-        A block holds the edges of a run of rows with at most _EDGE_CHUNK
-        adjacency entries and at most _EDGE_CHUNK rows, or of one longer row.
+        A block holds the edges of one of the :func:`_row_runs` of _EDGE_CHUNK.
+        Each entry's row is summed in one buffer from a 1 where a row begins.
         """
         indptr, indices = self.indptr, self.indices
-        for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
-            rows = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1]))
-            cols = indices[indptr[lo]:indptr[hi]]
-            upper = cols > rows
-            yield np.column_stack([rows[upper], cols[upper].astype(np.int64)])
+        runs, size = _row_runs(indptr, _EDGE_CHUNK)
+        rows, upper = np.empty(size + 1, dtype=np.int32), np.empty(size, dtype=bool)
+        starts = np.empty(max((hi - lo for lo, hi in runs), default=0), dtype=np.int64)
+        for lo, hi in runs:
+            a, b = indptr[lo], indptr[hi]
+            row = rows[:b - a + 1]  # empty rows at the run's end mark the last slot
+            row[0], row[1:] = lo, 0
+            np.add.at(row, np.subtract(indptr[lo + 1:hi], a, out=starts[:hi - lo - 1]), 1)
+            np.add.accumulate(row, out=row)  # in int32, as cumsum would widen
+            cols = indices[a:b]
+            up = np.greater(cols, row[:-1], out=upper[:b - a])
+            yield row[:-1][up], cols[up]
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) int64 array of the edges as (u, v) with u < v, in sorted order."""
-        return np.concatenate([np.zeros((0, 2), dtype=np.int64), *self._edge_blocks()])
+        blocks = map(np.column_stack, self._edge_blocks())
+        return np.concatenate([np.zeros((0, 2), dtype=np.int64), *blocks])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for block in self._edge_blocks():
-            yield from zip(*block.T.tolist())
+        for u, v in self._edge_blocks():
+            yield from zip(u.tolist(), v.tolist())
 
     def label_index(self) -> dict[str, int]:
         if self.labels is None:
@@ -223,15 +234,17 @@ class ExplicitGraph:
         return f"ExplicitGraph(n={self.n}, m={self.m}, {lab})"
 
 
-def _row_runs(indptr: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+def _row_runs(indptr: np.ndarray, limit: int) -> tuple[list[tuple[int, int]], int]:
     """Runs [lo, hi) of CSR rows with at most ``limit`` adjacency entries
-    and at most ``limit`` rows, or of one longer row, in order."""
-    lo, n = 0, indptr.size - 1
+    and at most ``limit`` rows, or of one longer row, in order; and the most
+    entries a run holds, which sizes the buffers a loop over them reuses."""
+    runs, lo, n = [], 0, indptr.size - 1
     while lo < n:
         hi = int(np.searchsorted(indptr, indptr[lo] + limit, side="right")) - 1
         hi = min(max(hi, lo + 1), lo + limit)
-        yield lo, hi
+        runs.append((lo, hi))
         lo = hi
+    return runs, max((int(indptr[hi] - indptr[lo]) for lo, hi in runs), default=0)
 
 
 def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> ExplicitGraph:
@@ -311,7 +324,7 @@ def _pull_blocks(g: ExplicitGraph) -> list[tuple[int, int, slice | np.ndarray, n
     indptr = g.indptr
     has_nbrs = np.diff(indptr) > 0
     blocks = []
-    for lo, hi in _row_runs(indptr, _PULL_BLOCK):
+    for lo, hi in _row_runs(indptr, _PULL_BLOCK)[0]:
         nz = has_nbrs[lo:hi]
         if nz.any():
             rows = slice(lo, hi) if nz.all() else np.flatnonzero(nz) + lo
@@ -475,6 +488,26 @@ def diameter(g: ExplicitGraph) -> tuple[int, bool]:
     return table.shape[1] - 1, connected
 
 
+def _ranges(out: np.ndarray, firsts: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> int:
+    """Write the ranges firsts[i] .. ends[i] - 1 one after another into out; return their length.
+
+    Each entry is the one before plus 1, and where range i begins plus
+    firsts[i] - ends[i - 1], which overwrite firsts, so one cumulative sum
+    writes them all.  starts needs a slot more than there are ranges, and a
+    0 first; out one more than the length unless no range is empty.
+    """
+    s = starts[:firsts.size + 1]
+    np.cumsum(np.subtract(ends, firsts, out=s[1:]), out=s[1:])
+    total = int(s[-1])
+    np.subtract(firsts[1:], ends[:-1], out=firsts[1:])
+    o = out[:total + 1]
+    o.fill(1)
+    o[:1] = 0
+    np.add.at(o, s[:-1], firsts)
+    np.add.accumulate(o, out=o)
+    return total
+
+
 def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     """Replace vertex v by an independent set of copies, joined exactly when originals were.
 
@@ -486,18 +519,21 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
 
     The CSR is built directly, with no edge list to sort: every copy of v has
     the same row, the copy ranges of v's neighbours in order, which is sorted
-    and free of duplicates because g is simple.  Those rows are formed once,
-    and the output's int32 indices are gathered from them one run of rows
-    (see :func:`_row_runs`) at a time, so beyond the result and one block the
-    build holds only that one copy of each row.
+    and free of duplicates because g is simple.  It is written a run of rows
+    at a time by :func:`_ranges`, which lists the base rows' entries and then
+    their neighbours' copy ranges into buffers that every run reuses.
     """
     if g.n == 0:
         raise ValueError("cannot blow up a graph with no vertices")
     if n_target < g.n:
         raise TooSmallTarget(f"target {n_target} below vertex count {g.n}")
     q, rem = divmod(n_target, g.n)
+    # v's neighbours below rem: as g is symmetric, its entries in those rows.
+    low, below = np.zeros(g.n, dtype=np.int64), g.indices[:g.indptr[rem]]
+    for a in range(0, below.size, _EDGE_CHUNK):
+        np.add.at(low, below[a:a + _EDGE_CHUNK], 1)
     # Edges with both, one or none of their ends among the rem vertices with q + 1 copies.
-    both = int(np.count_nonzero(g.indices[:g.indptr[rem]] < rem)) // 2
+    both = int(low[:rem].sum()) // 2
     one = int(g.indptr[rem]) - 2 * both
     m_out = both * (q + 1) ** 2 + one * q * (q + 1) + (g.m - both - one) * q * q
     if max(n_target, m_out) > DEFAULT_STATE_CAP:
@@ -505,24 +541,30 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
                        f"vertices and edges are capped at {DEFAULT_STATE_CAP}")
     counts = np.full(g.n, q, dtype=np.int64)
     counts[:rem] += 1
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # The row of v's copies: adjacency entry (v, w) becomes offsets[w]..offsets[w + 1].
-    spans = counts[g.indices]
-    starts = np.zeros(spans.size + 1, dtype=np.int64)
-    np.cumsum(spans, out=starts[1:])
-    rows = np.repeat((offsets[g.indices] - starts[:-1]).astype(np.int32), spans)
-    rows += np.arange(starts[-1], dtype=np.int32)
-    row_ptr = starts[g.indptr]
-    # Each output vertex reads its base vertex's row.
-    lengths = np.repeat(np.diff(row_ptr), counts)
+    owner = np.repeat(np.arange(g.n), counts)
+    # A copy of v has q entries per neighbour of v, and one more per neighbour below rem.
+    low += q * g.degrees()
     indptr = np.zeros(n_target + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    shift = np.repeat(row_ptr[:-1], counts) - indptr[:-1]
+    np.cumsum(np.take(low, owner, out=indptr[1:], mode="clip"), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
+    runs, size = _row_runs(indptr, _EDGE_CHUNK)
+    # A run's rows hold at most size // q base entries, as each has q copies or more.
+    rows, items = max(hi - lo for lo, hi in runs), size // q
+    row_first, row_end, entries = (np.empty(n + 1, dtype=np.int64) for n in (rows, rows, items))
+    starts = np.zeros(max(items, rows) + 1, dtype=np.int64)
+    nbr, first, end = (np.empty(items, dtype=np.int32) for _ in range(3))
+    # mode="clip" makes take write into out directly; every index here is in range.
+    for lo, hi in runs:
         a, b = indptr[lo], indptr[hi]
-        indices[a:b] = rows[np.repeat(shift[lo:hi], lengths[lo:hi]) + np.arange(a, b)]
+        base = owner[lo:hi]
+        k = _ranges(entries, np.take(g.indptr, base, out=row_first[:hi - lo], mode="clip"),
+                    np.take(g.indptr[1:], base, out=row_end[:hi - lo], mode="clip"), starts)
+        w = np.take(g.indices, entries[:k], out=nbr[:k], mode="clip")
+        # w's copies are w * q + min(w, rem) up to the next vertex's first copy.
+        np.add(np.minimum(w, rem, out=first[:k]), np.multiply(w, q, out=end[:k]), out=first[:k])
+        np.add(np.less(w, rem, out=end[:k]), q, out=end[:k])
+        end[:k] += first[:k]
+        _ranges(indices[a:b], first[:k], end[:k], starts)
     labels = None
     if g.labels is not None:
         labels = tuple(f"{lab}:{i}" for lab, c in zip(g.labels, counts.tolist())
@@ -536,9 +578,13 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
     Raises ValueError, before the file is opened, for a label that would not
     load back unchanged: one that is not a str, an empty one, one holding a
     line break, one with leading or trailing whitespace, or one that UTF-8
-    cannot encode (it holds a lone surrogate).  Edge lines are formatted in
-    bulk by :func:`_edge_lines`, byte for byte as '%d' would, one block of
-    rows at a time.
+    cannot encode (it holds a lone surrogate).  Edge lines are formatted
+    byte for byte as '%d' would, _EDGE_CHUNK at a time, in buffers reused by
+    every block: the lines are the columns of a uint8 table, 'e', a space, u
+    right-aligned in width cells, a space, v likewise and '\\n', with NUL in
+    leading-zero cells.  Each block's table is transposed into bytes, whose
+    NULs bytes.replace drops.  Digits come from x // 10 and x - 10 * (x // 10),
+    which numpy does faster than np.divmod.
     """
     for v, lab in enumerate(g.labels or ()):
         if (not isinstance(lab, str) or not lab or lab != lab.strip()
@@ -548,9 +594,24 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
         fh.write(f"dug 1 {g.n} {g.m}\n".encode())
         if g.labels is not None:
             fh.writelines(f"l {v} {lab}\n".encode() for v, lab in enumerate(g.labels))
-        width = len(str(g.n - 1))
-        for block in g._edge_blocks():
-            fh.write(_edge_lines(block, width))
+        width, size = len(str(g.n - 1)), min(g.m, _EDGE_CHUNK)
+        cells = np.zeros((2 * width + 4, size), dtype=np.uint8)
+        cells[0], cells[1], cells[width + 2], cells[-1] = ord("e"), ord(" "), ord(" "), ord("\n")
+        ids, quot, digit = (np.empty((2, size), dtype=np.int32) for _ in range(3))
+        positive = np.empty((2, size), dtype=bool)
+        for u, v in ((u[i:i + size], v[i:i + size]) for u, v in g._edge_blocks()
+                     for i in range(0, u.size, _EDGE_CHUNK)):
+            k = u.size
+            x, q, d = ids[:, :k], quot[:, :k], digit[:, :k]
+            x[0], x[1] = u, v
+            for col in range(width - 1, -1, -1):  # u's cells 2 + col, v's width + 3 + col
+                np.floor_divide(x, 10, out=q)
+                np.subtract(x, np.multiply(q, 10, out=d), out=d)
+                d += ord("0")
+                d *= np.greater(x, 0 if col < width - 1 else -1, out=positive[:, :k])  # 0 for NUL
+                cells[2 + col::width + 1, :k] = d
+                x, q = q, x
+            fh.write(cells[:, :k].T.tobytes().replace(b"\0", b""))
 
 
 def _is_utf8(text: str) -> bool:
@@ -559,30 +620,6 @@ def _is_utf8(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
-
-
-def _edge_lines(edges: np.ndarray, width: int) -> bytes:
-    """The lines 'e <u> <v>\\n' of an (m, 2) array of ids below 10**width.
-
-    Each line is first a row of a fixed-width uint8 table: 'e', a space, u
-    right-aligned in width cells, a space, v likewise and '\\n'.  Leading-zero
-    cells hold NUL, which is then dropped.  Digits come from x // 10 and
-    x - 10 * (x // 10), which numpy does faster than np.divmod.
-    """
-    lines = np.zeros((len(edges), 2 * width + 4), dtype=np.uint8)
-    lines[:, 0] = ord("e")
-    lines[:, 1] = lines[:, width + 2] = ord(" ")
-    lines[:, -1] = ord("\n")
-    x = edges.astype(np.int32)
-    for col in range(width - 1, -1, -1):
-        q = x // 10
-        digit = (x - 10 * q + ord("0")).astype(np.uint8)
-        if col < width - 1:
-            digit *= x > 0
-        lines[:, 2 + col] = digit[:, 0]
-        lines[:, width + 3 + col] = digit[:, 1]
-        x = q
-    return lines.tobytes().replace(b"\0", b"")
 
 
 def load_edge_list(path) -> ExplicitGraph:
@@ -647,11 +684,11 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
     fh is a binary file at the first of those lines, size the bytes left,
     and m the edge count the header declares (0 if unread).  Each line must
     be 'e', a space, a run of 1 to _MAX_DIGITS ASCII digits, a space, another
-    such run and '\\n', with u < v.  The file is read _READ_CHUNK bytes at a
-    time (at most size + 1), and the whole lines of each read are checked and
-    decoded together, so the temporaries stay that small whatever the file's
-    size; the partial last line, with the 8 bytes before it, carries over to
-    the next read.  In a chunk, the bytes <= 32
+    such run and '\\n', with u < v.  The file is read into one buffer,
+    _READ_CHUNK bytes at a time (at most size + 1), and the whole lines of
+    each read are checked and decoded together, so the temporaries stay that
+    small whatever the file's size; the partial last line, with the 8 bytes
+    before it, moves to the front for the next read.  In a chunk, the bytes <= 32
     must be space, space, '\\n' on each line, each line's first space must be
     its second byte and follow an 'e', and every other byte must be a digit.
     A chunk is taken column-major: its u tokens, then its v tokens, are
@@ -669,23 +706,27 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
     join digits pairwise into 2-, 4- and 8-digit values.
     """
     edges = np.empty((2, min(m, size // 6)), dtype=np.int32)
-    # data[:8] holds the bytes before the chunk, which the first token's load
-    # reads and masks off; data[8:] the chunk and the next partial line.
-    data, row = bytes(8), 0
-    while more := fh.read(min(_READ_CHUNK, size + 1)):
-        data += more
-        stop = data.rfind(b"\n") + 1
-        if len(data) - max(stop, 8) > 2 * _MAX_DIGITS + 3:  # longer than any canonical line
+    # buf[:8] holds the bytes before the chunk, which the first token's load
+    # reads and masks off; buf[8:end] the chunk and the next partial line, of
+    # at most 2 * _MAX_DIGITS + 3 bytes.  words[i] is the uint64 of buf[i:i + 8].
+    buf = bytearray(min(_READ_CHUNK, size + 1) + 2 * _MAX_DIGITS + 12)
+    data, view, sep = np.frombuffer(buf, dtype=np.uint8), memoryview(buf), np.empty(len(buf), bool)
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    end, row = 8, 0
+    while got := fh.readinto(view[end:]):
+        end += got
+        stop = buf.rfind(b"\n", 8, end) + 1
+        if end - max(stop, 8) > 2 * _MAX_DIGITS + 3:  # longer than any canonical line
             return None
         if stop <= 8:  # no whole line yet
             continue
-        chars = np.frombuffer(data, dtype=np.uint8, count=stop - 8, offset=8)
-        seps = np.flatnonzero(chars <= 32)
+        chars = data[8:stop]
+        seps = np.flatnonzero(np.less_equal(chars, 32, out=sep[:chars.size]))
         k = seps.size // 3
         if seps.size != 3 * k:
             return None
         # s[j, i] is separator j of line i.  Token j of line i (u, then v)
-        # ends just before s[j + 1, i], so its load starts at data[s[j + 1, i]];
+        # ends just before s[j + 1, i], so its load starts at buf[s[j + 1, i]];
         # lens is its digit count less 1.  A newline is 2 bytes before the
         # next line's first space when only that line's 'e' lies between
         # them; the next chunk checks its own first line.
@@ -700,8 +741,6 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
                 and (chars[s[0] - 1] == ord("e")).all()
                 and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * k):
             return None
-        # words[i] is the little-endian uint64 of data[i:i + 8].
-        words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
         x = words[s[1:].ravel()]
         x ^= _ZERO_CHARS
         x &= _KEEP[lens.ravel()]
@@ -720,8 +759,9 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
             edges = np.concatenate([edges[:, :row], np.empty((2, row + k), np.int32)], axis=1)
         edges[:, row:row + k] = x
         row += k
-        data = data[stop - 8:]
-    return None if len(data) > 8 else edges[:, :row].T
+        end -= stop - 8
+        data[:end] = data[stop - 8:stop - 8 + end]
+    return None if end > 8 else edges[:, :row].T
 
 
 def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:

@@ -33,7 +33,7 @@ from dug import (
 )
 
 import dug.graph
-from dug.graph import _canonical_edges, _edge_lines, _parse_lines
+from dug.graph import _canonical_edges, _parse_lines
 
 from conftest import move_adjacency, traced_peak
 
@@ -117,8 +117,10 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             ExplicitGraph.from_edges(3, [(0, 1), (1, 0)])
 
+    # Duplicates are looked for a block of sorted keys at a time: a pair may straddle two blocks.
+    @pytest.mark.parametrize("chunk", [1, 2, 3, dug.graph._EDGE_CHUNK])
     @pytest.mark.parametrize("flipped", [False, True])
-    def test_duplicate_far_apart(self, flipped):
+    def test_duplicate_far_apart(self, flipped, chunk):
         rng = np.random.default_rng(3)
         n = 1000
         iu, iv = np.triu_indices(n, k=1)
@@ -128,8 +130,9 @@ class TestFromEdges:
         arr[swap] = arr[swap, ::-1]
         assert ExplicitGraph.from_edges(n, arr).m == 10_000
         arr[-5] = arr[3, ::-1] if flipped else arr[3]
-        with pytest.raises(ValueError, match="^duplicate edge in edge list$"):
-            ExplicitGraph.from_edges(n, arr)
+        with mock.patch("dug.graph._EDGE_CHUNK", chunk):
+            with pytest.raises(ValueError, match="^duplicate edge in edge list$"):
+                ExplicitGraph.from_edges(n, arr)
 
     def test_bad_vertex(self):
         with pytest.raises(BadVertex):
@@ -586,16 +589,20 @@ class TestEdgeListIO:
         assert load_edge_list(f) == g
 
     def test_row_longer_than_a_chunk_is_written_alone(self, tmp_path):
-        # Vertex 1 has 6 neighbours, more than a chunk of 4 adjacency entries.
+        # Vertex 1 has 6 neighbours, more than a chunk of 4 adjacency entries,
+        # and 5 edges to write, more than the writer's table of 4 lines.
         g = ExplicitGraph.from_edges(9, [(0, 1), *((1, w) for w in range(2, 7)), (7, 8)])
         blocks = []
+        edge_blocks = ExplicitGraph._edge_blocks
 
-        def spy(edges, width):
-            blocks.append(edges.tolist())
-            return _edge_lines(edges, width)
+        def spy(graph):
+            for u, v in edge_blocks(graph):
+                blocks.append(np.column_stack([u, v]).tolist())
+                yield u, v
 
         f = tmp_path / "g.dug"
-        with mock.patch("dug.graph._EDGE_CHUNK", 4), mock.patch("dug.graph._edge_lines", spy):
+        with mock.patch("dug.graph._EDGE_CHUNK", 4), \
+                mock.patch.object(ExplicitGraph, "_edge_blocks", spy):
             save_edge_list(g, f)
         assert [[1, w] for w in range(2, 7)] in blocks
         assert [e for block in blocks for e in block] == [list(e) for e in reference_edges(g)]
@@ -851,19 +858,42 @@ def test_bulk_reader_matches_line_parser_on_random_ids(data, n, chunk, fault):
 
 
 def test_edge_list_io_memory_is_bounded(tmp_path):
-    # The benchmark's blow-up: G*_{16,2} to 5 000 vertices, 778 636 edges.
+    # The benchmark's blow-up: G*_{16,2} to 5 000 vertices, 778 636 edges, a 9.06 MB file.
     g = blow_up(build_explicit(HanoiParams(16, 2, proper=True)), 5000)
     f = tmp_path / "big.dug"
     save_peak = traced_peak(lambda: save_edge_list(g, f))
-    size = f.stat().st_size
     load_peak = traced_peak(lambda: load_edge_list(f))
     assert g.m == 778_636
-    assert save_peak < 8_000_000
-    assert load_peak <= 1.25 * size
+    assert save_peak <= 1_500_000
+    assert load_peak <= 8_200_000  # its 6.27 MB CSR, the labels and one read
     assert load_edge_list(f) == g
     # from the bulk reader's int32 edges: 8 B per edge of uint32 keys, which become the indices
     edges = g.edge_array().astype(np.int32)
-    assert traced_peak(lambda: ExplicitGraph.from_edges(g.n, edges)) <= 18 * g.m
+    assert traced_peak(lambda: ExplicitGraph.from_edges(g.n, edges)) <= 9 * g.m
+
+
+def test_working_memory_does_not_grow_with_m(tmp_path):
+    # Unlabeled, so that label strings play no part: G*_{16,2} blown up to
+    # 5 000 and to 10 000 vertices, with four times the edges.
+    base = build_explicit(HanoiParams(16, 2, proper=True))
+    base = ExplicitGraph(base.n, base.indptr, base.indices, None)
+    working = []
+    for n_target, m in [(5000, 778_636), (10_000, 3_112_905)]:
+        built, loaded = [], []
+        blow_peak = traced_peak(lambda: built.append(blow_up(base, n_target)))
+        g = built.pop()
+        csr = g.indptr.nbytes + g.indices.nbytes
+        f = tmp_path / f"{n_target}.dug"
+        save_peak = traced_peak(lambda: save_edge_list(g, f))
+        load_peak = traced_peak(lambda: loaded.append(load_edge_list(f)))
+        assert g.m == m and loaded.pop() == g
+        working.append((save_peak, load_peak - csr, blow_peak - csr))
+        del g
+    (save5, load5, blow5), (save10, load10, blow10) = working
+    assert abs(save10 - save5) < 250_000
+    assert abs(load10 - load5) < 250_000
+    # blow_up holds a base vertex per output vertex, 8 B each.
+    assert abs(blow10 - blow5) < 500_000
 
 
 @pytest.mark.parametrize("n", [10**12, DEFAULT_STATE_CAP + 1])
@@ -997,7 +1027,16 @@ class TestBlowUp:
         peak = traced_peak(lambda: built.append(blow_up(g, 5000)))
         b = built[0]
         assert b.m == 778_636
-        assert peak <= 1.5 * (b.indptr.nbytes + b.indices.nbytes)
+        assert peak <= 1.2 * (b.indptr.nbytes + b.indices.nbytes)
+
+    def test_memory_near_one_copy_per_vertex(self):
+        # One vertex of K_1500 gets two copies: the base rows are as large as the result.
+        g = complete_graph(1500)
+        built = []
+        peak = traced_peak(lambda: built.append(blow_up(g, 1501)))
+        b = built[0]
+        assert b.m == g.m + 1499
+        assert peak <= 2 * (b.indptr.nbytes + b.indices.nbytes)
 
     def test_colon_labels_stay_unique_and_round_trip(self, tmp_path):
         g = ExplicitGraph.from_edges(3, [(0, 1), (1, 2)], labels=["x", "x:0", "x:1"])

@@ -105,8 +105,8 @@ class ExplicitGraph:
         and never written to.  The sort keys, one per adjacency entry, are
         uint32 up to n = 2^16 and then become the int32 indices in place;
         above that they are int64.  Besides them and the result, assembly
-        holds one block of row bounds or of duplicate flags, so a large n
-        with few edges costs little more than its indptr.
+        holds one block of row bounds, duplicate flags or row bases, so a
+        large n with few edges costs little more than its indptr.
         """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -168,7 +168,10 @@ class ExplicitGraph:
             bounds = np.arange(w, min(w + _EDGE_CHUNK, n), dtype=kt)
             indptr[w:w + bounds.size] = np.searchsorted(key, bounds * kt(n))
         indptr[n] = 2 * m
-        np.remainder(key, n, out=key)
+        # A key less its row * n is its column; the row bases go a run of rows at a time.
+        for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
+            rows = np.arange(lo, hi, dtype=kt) * kt(n)
+            key[indptr[lo]:indptr[hi]] -= np.repeat(rows, np.diff(indptr[lo:hi + 1]))
         indices = key.view(np.int32) if kt is np.uint32 else key.astype(np.int32)
         return cls(n, indptr, indices, labels)
 
@@ -185,22 +188,15 @@ class ExplicitGraph:
     def _edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The edges (u, v) with u < v, in sorted order, as int32 arrays of u and of v.
 
-        A block holds the edges of one of the :func:`_row_runs` of _EDGE_CHUNK.
-        Each entry's row is summed in one buffer from a 1 where a row begins.
+        A block holds the edges of one of the :func:`_row_runs` of _EDGE_CHUNK;
+        each entry's row is the run's row id repeated by its degree.
         """
         indptr, indices = self.indptr, self.indices
-        runs, size = _row_runs(indptr, _EDGE_CHUNK)
-        rows, upper = np.empty(size + 1, dtype=np.int32), np.empty(size, dtype=bool)
-        starts = np.empty(max((hi - lo for lo, hi in runs), default=0), dtype=np.int64)
-        for lo, hi in runs:
-            a, b = indptr[lo], indptr[hi]
-            row = rows[:b - a + 1]  # empty rows at the run's end mark the last slot
-            row[0], row[1:] = lo, 0
-            np.add.at(row, np.subtract(indptr[lo + 1:hi], a, out=starts[:hi - lo - 1]), 1)
-            np.add.accumulate(row, out=row)  # in int32, as cumsum would widen
-            cols = indices[a:b]
-            up = np.greater(cols, row[:-1], out=upper[:b - a])
-            yield row[:-1][up], cols[up]
+        for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
+            cols = indices[indptr[lo]:indptr[hi]]
+            up = cols > rows
+            yield rows[up], cols[up]
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) int64 array of the edges as (u, v) with u < v, in sorted order."""
@@ -234,17 +230,17 @@ class ExplicitGraph:
         return f"ExplicitGraph(n={self.n}, m={self.m}, {lab})"
 
 
-def _row_runs(indptr: np.ndarray, limit: int) -> tuple[list[tuple[int, int]], int]:
+def _row_runs(indptr: np.ndarray, limit: int) -> list[tuple[int, int]]:
     """Runs [lo, hi) of CSR rows with at most ``limit`` adjacency entries
-    and at most ``limit`` rows, or of one longer row, in order; and the most
-    entries a run holds, which sizes the buffers a loop over them reuses."""
+    and at most ``limit`` rows, or of one longer row, in order.  A loop over
+    them allocates its temporaries per run, so they stay that small."""
     runs, lo, n = [], 0, indptr.size - 1
     while lo < n:
         hi = int(np.searchsorted(indptr, indptr[lo] + limit, side="right")) - 1
         hi = min(max(hi, lo + 1), lo + limit)
         runs.append((lo, hi))
         lo = hi
-    return runs, max((int(indptr[hi] - indptr[lo]) for lo, hi in runs), default=0)
+    return runs
 
 
 def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> ExplicitGraph:
@@ -324,7 +320,7 @@ def _pull_blocks(g: ExplicitGraph) -> list[tuple[int, int, slice | np.ndarray, n
     indptr = g.indptr
     has_nbrs = np.diff(indptr) > 0
     blocks = []
-    for lo, hi in _row_runs(indptr, _PULL_BLOCK)[0]:
+    for lo, hi in _row_runs(indptr, _PULL_BLOCK):
         nz = has_nbrs[lo:hi]
         if nz.any():
             rows = slice(lo, hi) if nz.all() else np.flatnonzero(nz) + lo
@@ -348,9 +344,14 @@ def _push(g: ExplicitGraph, hit: np.ndarray, words: np.ndarray, reached: np.ndar
     """OR the words of vertices ``hit`` into their neighbours' entries of reached."""
     starts = g.indptr[hit]
     lengths = g.indptr[hit + 1] - starts
-    ends = np.cumsum(lengths)
-    entries = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    entries = _ranges(starts, lengths)
     np.bitwise_or.at(reached, g.indices[entries], np.repeat(words, lengths))
+
+
+def _ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges firsts[i] .. firsts[i] + lengths[i] - 1, one after another (lengths not empty)."""
+    ends = np.cumsum(lengths)
+    return np.repeat(firsts - ends + lengths, lengths) + np.arange(ends[-1])
 
 
 def _levels(g: ExplicitGraph, chunk: np.ndarray, degrees: np.ndarray,
@@ -488,26 +489,6 @@ def diameter(g: ExplicitGraph) -> tuple[int, bool]:
     return table.shape[1] - 1, connected
 
 
-def _ranges(out: np.ndarray, firsts: np.ndarray, ends: np.ndarray, starts: np.ndarray) -> int:
-    """Write the ranges firsts[i] .. ends[i] - 1 one after another into out; return their length.
-
-    Each entry is the one before plus 1, and where range i begins plus
-    firsts[i] - ends[i - 1], which overwrite firsts, so one cumulative sum
-    writes them all.  starts needs a slot more than there are ranges, and a
-    0 first; out one more than the length unless no range is empty.
-    """
-    s = starts[:firsts.size + 1]
-    np.cumsum(np.subtract(ends, firsts, out=s[1:]), out=s[1:])
-    total = int(s[-1])
-    np.subtract(firsts[1:], ends[:-1], out=firsts[1:])
-    o = out[:total + 1]
-    o.fill(1)
-    o[:1] = 0
-    np.add.at(o, s[:-1], firsts)
-    np.add.accumulate(o, out=o)
-    return total
-
-
 def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     """Replace vertex v by an independent set of copies, joined exactly when originals were.
 
@@ -519,9 +500,11 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
 
     The CSR is built directly, with no edge list to sort: every copy of v has
     the same row, the copy ranges of v's neighbours in order, which is sorted
-    and free of duplicates because g is simple.  It is written a run of rows
-    at a time by :func:`_ranges`, which lists the base rows' entries and then
-    their neighbours' copy ranges into buffers that every run reuses.
+    and free of duplicates because g is simple.  It is written one of the
+    :func:`_row_runs` of _EDGE_CHUNK entries at a time: :func:`_ranges` lists
+    the run's base entries, then their neighbours' copy ranges, each range
+    an offset repeated by its length plus one arange, as a BFS push step
+    lists its frontier's entries.
     """
     if g.n == 0:
         raise ValueError("cannot blow up a graph with no vertices")
@@ -543,28 +526,18 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
     counts[:rem] += 1
     owner = np.repeat(np.arange(g.n), counts)
     # A copy of v has q entries per neighbour of v, and one more per neighbour below rem.
-    low += q * g.degrees()
+    degrees = g.degrees()
+    low += q * degrees
     indptr = np.zeros(n_target + 1, dtype=np.int64)
     np.cumsum(np.take(low, owner, out=indptr[1:], mode="clip"), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    runs, size = _row_runs(indptr, _EDGE_CHUNK)
-    # A run's rows hold at most size // q base entries, as each has q copies or more.
-    rows, items = max(hi - lo for lo, hi in runs), size // q
-    row_first, row_end, entries = (np.empty(n + 1, dtype=np.int64) for n in (rows, rows, items))
-    starts = np.zeros(max(items, rows) + 1, dtype=np.int64)
-    nbr, first, end = (np.empty(items, dtype=np.int32) for _ in range(3))
-    # mode="clip" makes take write into out directly; every index here is in range.
-    for lo, hi in runs:
+    for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
         a, b = indptr[lo], indptr[hi]
-        base = owner[lo:hi]
-        k = _ranges(entries, np.take(g.indptr, base, out=row_first[:hi - lo], mode="clip"),
-                    np.take(g.indptr[1:], base, out=row_end[:hi - lo], mode="clip"), starts)
-        w = np.take(g.indices, entries[:k], out=nbr[:k], mode="clip")
-        # w's copies are w * q + min(w, rem) up to the next vertex's first copy.
-        np.add(np.minimum(w, rem, out=first[:k]), np.multiply(w, q, out=end[:k]), out=first[:k])
-        np.add(np.less(w, rem, out=end[:k]), q, out=end[:k])
-        end[:k] += first[:k]
-        _ranges(indices[a:b], first[:k], end[:k], starts)
+        if a < b:
+            base = owner[lo:hi]
+            w = g.indices[_ranges(g.indptr[base], degrees[base])]
+            # w's copies are w * q + min(w, rem) up to the next vertex's first copy.
+            indices[a:b] = _ranges(w * q + np.minimum(w, rem), (w < rem) + q)
     labels = None
     if g.labels is not None:
         labels = tuple(f"{lab}:{i}" for lab, c in zip(g.labels, counts.tolist())
@@ -578,13 +551,9 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
     Raises ValueError, before the file is opened, for a label that would not
     load back unchanged: one that is not a str, an empty one, one holding a
     line break, one with leading or trailing whitespace, or one that UTF-8
-    cannot encode (it holds a lone surrogate).  Edge lines are formatted
-    byte for byte as '%d' would, _EDGE_CHUNK at a time, in buffers reused by
-    every block: the lines are the columns of a uint8 table, 'e', a space, u
-    right-aligned in width cells, a space, v likewise and '\\n', with NUL in
-    leading-zero cells.  Each block's table is transposed into bytes, whose
-    NULs bytes.replace drops.  Digits come from x // 10 and x - 10 * (x // 10),
-    which numpy does faster than np.divmod.
+    cannot encode (it holds a lone surrogate).  Label lines are formatted
+    _EDGE_CHUNK at a time by one str.join, and edge lines byte for byte as
+    '%d' would, _EDGE_CHUNK at a time, by :func:`_edge_lines`.
     """
     for v, lab in enumerate(g.labels or ()):
         if (not isinstance(lab, str) or not lab or lab != lab.strip()
@@ -592,26 +561,62 @@ def save_edge_list(g: ExplicitGraph, path) -> None:
             raise ValueError(f"label {lab!r} of vertex {v} would not load back unchanged")
     with open(path, "wb") as fh:
         fh.write(f"dug 1 {g.n} {g.m}\n".encode())
-        if g.labels is not None:
-            fh.writelines(f"l {v} {lab}\n".encode() for v, lab in enumerate(g.labels))
-        width, size = len(str(g.n - 1)), min(g.m, _EDGE_CHUNK)
-        cells = np.zeros((2 * width + 4, size), dtype=np.uint8)
-        cells[0], cells[1], cells[width + 2], cells[-1] = ord("e"), ord(" "), ord(" "), ord("\n")
-        ids, quot, digit = (np.empty((2, size), dtype=np.int32) for _ in range(3))
-        positive = np.empty((2, size), dtype=bool)
-        for u, v in ((u[i:i + size], v[i:i + size]) for u, v in g._edge_blocks()
-                     for i in range(0, u.size, _EDGE_CHUNK)):
-            k = u.size
-            x, q, d = ids[:, :k], quot[:, :k], digit[:, :k]
-            x[0], x[1] = u, v
-            for col in range(width - 1, -1, -1):  # u's cells 2 + col, v's width + 3 + col
-                np.floor_divide(x, 10, out=q)
-                np.subtract(x, np.multiply(q, 10, out=d), out=d)
-                d += ord("0")
-                d *= np.greater(x, 0 if col < width - 1 else -1, out=positive[:, :k])  # 0 for NUL
-                cells[2 + col::width + 1, :k] = d
-                x, q = q, x
-            fh.write(cells[:, :k].T.tobytes().replace(b"\0", b""))
+        labels = g.labels or ()
+        for a in range(0, len(labels), _EDGE_CHUNK):
+            block = labels[a:a + _EDGE_CHUNK]
+            fh.write("".join(map("l {} {}\n".format, range(a, a + len(block)), block)).encode())
+        lines = _edge_lines(g.n, min(g.m, _EDGE_CHUNK))
+        for u, v in g._edge_blocks():
+            for i in range(0, u.size, _EDGE_CHUNK):
+                fh.write(lines(u[i:i + _EDGE_CHUNK], v[i:i + _EDGE_CHUNK]))
+
+
+def _edge_lines(n: int, size: int):
+    """A function that turns up to ``size`` edges of a graph of n vertices,
+    as int arrays u and v, into the bytes of their lines 'e %d %d\\n'.
+
+    Each id is g four-digit groups, where g is 1 up to n = 10^4 and else 2
+    (the 2^26 cap has 8 digits).  The lines are the rows of one (size, L)
+    uint8 table, L = 8g + 4, reused by every call: 'e', a space, u's 4g
+    cells, a space, v's and '\\n'.  A group's 4 cells are one uint32, taken
+    from a table of the 10^4 group values through a byte-strided view: the
+    leading group's text has NUL for its leading zeros (and is four NULs
+    for 0 when a lower group follows), a lower group's is zero-padded.
+    bytes.replace drops the NULs.  The group table is built here, from uint8
+    and uint16 temporaries, so importing dug costs nothing for it.
+    """
+    groups = 1 if n <= 10**4 else 2
+    width = 4 * groups
+    cells = np.zeros((size, 2 * width + 4), dtype=np.uint8)
+    cells[:, 0], cells[:, 1], cells[:, width + 2], cells[:, -1] = (
+        ord("e"), ord(" "), ord(" "), ord("\n"))
+    # text[x] for x < 10^4 is x NUL-led, text[10^4 + x] x zero-padded.
+    x = np.arange(10**4, dtype=np.uint16)
+    digits = np.empty((2, 10**4, 4), dtype=np.uint8)
+    for col, p in enumerate((1000, 100, 10, 1)):
+        np.add(x // p % 10, ord("0"), out=digits[1, :, col], casting="unsafe")
+        np.multiply(digits[1, :, col], x >= (p if p > 1 else 0), out=digits[0, :, col])
+    text = digits.reshape(-1, 4).view(np.uint32)[:, 0]
+    lead = text[:10**4].copy()
+    lead[0] = 0
+
+    # mode="clip" makes take write into out directly; every index here is in range.
+    def lines(u: np.ndarray, v: np.ndarray) -> bytes:
+        table = cells[:u.size]
+        for ids, col in ((u, 2), (v, width + 3)):
+            out = table[:, col:col + width].view(np.uint32)
+            if groups == 1:
+                np.take(text, ids, out=out[:, 0], mode="clip")
+                continue
+            high = ids // 10**4
+            np.take(lead, high, out=out[:, 0], mode="clip")
+            # The low group is text[ids], NUL-led, below 10^4, else text[10^4 + ids % 10^4].
+            np.maximum(high, 1, out=high)
+            high -= 1
+            np.take(text, ids - high * 10**4, out=out[:, 1], mode="clip")
+        return table.tobytes().replace(b"\0", b"")
+
+    return lines
 
 
 def _is_utf8(text: str) -> bool:
@@ -676,6 +681,11 @@ _ZERO_CHARS = np.uint64(0x3030303030303030)
 # _KEEP[j] keeps the top j + 1 bytes of a word: the digits of a (j + 1)-digit
 # token whose load ends at its last digit.
 _KEEP = np.array([(1 << 64) - (1 << 8 * (7 - j)) for j in range(8)], dtype=np.uint64)
+# A byte of a word XORed with '0' is a digit exactly when adding 0x76 leaves
+# its top bit clear, as it was; a carry into the next byte comes only from a
+# byte that fails the test itself.
+_DIGIT_TEST = np.uint64(0x7676767676767676)
+_TOP_BITS = np.uint64(0x8080808080808080)
 
 
 def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
@@ -688,16 +698,16 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
     _READ_CHUNK bytes at a time (at most size + 1), and the whole lines of
     each read are checked and decoded together, so the temporaries stay that
     small whatever the file's size; the partial last line, with the 8 bytes
-    before it, moves to the front for the next read.  In a chunk, the bytes <= 32
-    must be space, space, '\\n' on each line, each line's first space must be
-    its second byte and follow an 'e', and every other byte must be a digit.
-    A chunk is taken column-major: its u tokens, then its v tokens, are
-    decoded as one flat run into the chunk's columns of one (2, m) array,
-    whose transpose is returned.  m is capped at size // 6, since a line has
-    at least 6 bytes, and the array grows if the file holds more lines (the
-    line parser then reports the count).  When it holds exactly m, the
-    array's two rows, every u and then every v, are the layout of the keys
-    of ExplicitGraph._from_keys.
+    before it, moves to the front for the next read.  A read whose lines all
+    have its first line's layout is a fixed-width table, checked column by
+    column (see :func:`_fixed_width_words`); any other read is split at its
+    separators (see :func:`_separated_words`).  Either way its u tokens, then
+    its v tokens, are decoded together into the read's columns of one
+    (2, m) array, whose transpose is returned.  m is capped at size // 6,
+    since a line has at least 6 bytes, and the array grows if the file holds
+    more lines (the line parser then reports the count).  When it holds
+    exactly m, the array's two rows, every u and then every v, are the
+    layout of the keys of ExplicitGraph._from_keys.
 
     A token is decoded with the SWAR digit trick (Langdale & Lemire, *Parsing
     gigabytes of JSON per second*, VLDB J. 2019): one little-endian 8-byte
@@ -706,8 +716,8 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
     join digits pairwise into 2-, 4- and 8-digit values.
     """
     edges = np.empty((2, min(m, size // 6)), dtype=np.int32)
-    # buf[:8] holds the bytes before the chunk, which the first token's load
-    # reads and masks off; buf[8:end] the chunk and the next partial line, of
+    # buf[:8] holds the bytes before the read, which the first token's load
+    # reads and masks off; buf[8:end] the read and the next partial line, of
     # at most 2 * _MAX_DIGITS + 3 bytes.  words[i] is the uint64 of buf[i:i + 8].
     buf = bytearray(min(_READ_CHUNK, size + 1) + 2 * _MAX_DIGITS + 12)
     data, view, sep = np.frombuffer(buf, dtype=np.uint8), memoryview(buf), np.empty(len(buf), bool)
@@ -720,30 +730,11 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
             return None
         if stop <= 8:  # no whole line yet
             continue
-        chars = data[8:stop]
-        seps = np.flatnonzero(np.less_equal(chars, 32, out=sep[:chars.size]))
-        k = seps.size // 3
-        if seps.size != 3 * k:
-            return None
-        # s[j, i] is separator j of line i.  Token j of line i (u, then v)
-        # ends just before s[j + 1, i], so its load starts at buf[s[j + 1, i]];
-        # lens is its digit count less 1.  A newline is 2 bytes before the
-        # next line's first space when only that line's 'e' lies between
-        # them; the next chunk checks its own first line.
-        s = seps.reshape(k, 3).T
-        lens = np.subtract(s[1:], s[:2], order="C")
-        lens -= 2
-        # With one newline per line, the 2k other separators are the 2k spaces.
-        if not (s[0, 0] == 1 and (lens.view(np.uint64) < _MAX_DIGITS).all()
-                and (s[0, 1:] - s[2, :-1] == 2).all()
-                and (chars[s[2]] == ord("\n")).all()
-                and np.count_nonzero(chars == ord(" ")) == 2 * k
-                and (chars[s[0] - 1] == ord("e")).all()
-                and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * k):
-            return None
-        x = words[s[1:].ravel()]
-        x ^= _ZERO_CHARS
-        x &= _KEEP[lens.ravel()]
+        x = _fixed_width_words(buf, data, stop)
+        if x is None:
+            x = _separated_words(data, words, sep, stop)
+            if x is None:
+                return None
         x *= np.uint64(10 << 8 | 1)
         x >>= np.uint64(8)
         x &= np.uint64(0x00FF00FF00FF00FF)
@@ -752,7 +743,7 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
         x &= np.uint64(0x0000FFFF0000FFFF)
         x *= np.uint64(10000 << 32 | 1)
         x >>= np.uint64(32)
-        x = x.reshape(2, k)
+        k = x.shape[1]
         if not (x[0] < x[1]).all():
             return None
         if row + k > edges.shape[1]:  # more lines than the header declares
@@ -762,6 +753,74 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
         end -= stop - 8
         data[:end] = data[stop - 8:stop - 8 + end]
     return None if end > 8 else edges[:, :row].T
+
+
+def _fixed_width_words(buf: bytearray, data: np.ndarray, stop: int) -> np.ndarray | None:
+    """The (2, k) masked words of the u and v tokens of buf[8:stop] if its lines share one layout.
+
+    The layout is 'e', a space, a digits, a space, b digits and '\\n', with
+    a and b of 1 to _MAX_DIGITS.  When the read's length is a multiple of the
+    line length L, its bytes are a (k, L) table: the four separator columns
+    are compared whole, and each token is loaded through a uint64 view of
+    stride L that ends at its last digit, so no separator is searched and no
+    offset gathered.  A masked word holds only digits when no byte fails
+    _DIGIT_TEST.  None, for the general path to decide, when the layout or
+    any byte differs.
+    """
+    # The first line's columns (from buf[8]) of its second space and its '\n'.
+    newline = buf.find(b"\n", 8, stop) - 8
+    space = buf.find(b" ", 10, newline + 8) - 8
+    a, b = space - 2, newline - space - 1
+    k, rest = divmod(stop - 8, newline + 1)
+    if rest or not (0 < a <= _MAX_DIGITS and 0 < b <= _MAX_DIGITS):
+        return None
+    table = data[8:stop].reshape(k, newline + 1)
+    if not (table[:, (0, 1, space, newline)] == np.array([ord("e"), 32, 32, 10], np.uint8)).all():
+        return None
+    x = np.empty((2, k), dtype=np.uint64)
+    # A token's load ends at its last digit, column space - 1 or newline - 1
+    # of the table, so it starts at buf[space] or buf[newline].
+    for out, start, digits in ((x[0], space, a), (x[1], newline, b)):
+        np.bitwise_xor(np.ndarray((k,), "<u8", buf, start, (newline + 1,)), _ZERO_CHARS, out=out)
+        out &= _KEEP[digits - 1]
+    test = x + _DIGIT_TEST
+    test |= x
+    return None if np.bitwise_or.reduce(test, axis=None) & _TOP_BITS else x
+
+
+def _separated_words(data: np.ndarray, words: np.ndarray, sep: np.ndarray,
+                     stop: int) -> np.ndarray | None:
+    """The (2, k) masked words of the u and v tokens of data[8:stop], found by their separators.
+
+    The bytes <= 32 must be space, space, '\\n' on each line, each line's
+    first space must be its second byte and follow an 'e', and every other
+    byte must be a digit; None when they are not.
+    """
+    chars = data[8:stop]
+    seps = np.flatnonzero(np.less_equal(chars, 32, out=sep[:chars.size]))
+    k = seps.size // 3
+    if seps.size != 3 * k:
+        return None
+    # s[j, i] is separator j of line i.  Token j of line i (u, then v)
+    # ends just before s[j + 1, i], so its load starts at buf[s[j + 1, i]];
+    # lens is its digit count less 1.  A newline is 2 bytes before the
+    # next line's first space when only that line's 'e' lies between
+    # them; the next read checks its own first line.
+    s = seps.reshape(k, 3).T
+    lens = np.subtract(s[1:], s[:2], order="C")
+    lens -= 2
+    # With one newline per line, the 2k other separators are the 2k spaces.
+    if not (s[0, 0] == 1 and (lens.view(np.uint64) < _MAX_DIGITS).all()
+            and (s[0, 1:] - s[2, :-1] == 2).all()
+            and (chars[s[2]] == ord("\n")).all()
+            and np.count_nonzero(chars == ord(" ")) == 2 * k
+            and (chars[s[0] - 1] == ord("e")).all()
+            and np.count_nonzero(chars - ord("0") < 10) == chars.size - 4 * k):
+        return None
+    x = words[s[1:].ravel()]
+    x ^= _ZERO_CHARS
+    x &= _KEEP[lens.ravel()]
+    return x.reshape(2, k)
 
 
 def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:

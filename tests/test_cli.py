@@ -17,7 +17,7 @@ from dug import (
     solve,
     verify_path,
 )
-from dug.cli import cli_dispatch
+from dug.cli import build_parser, cli_dispatch
 
 from conftest import traced_peak
 
@@ -308,6 +308,18 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert cli_dispatch(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"], ["generate", "--r", "4"],
+                                  ["nonsense"], ["plan", "--n", "x", "--epsilon", "1/2"]])
+def test_reused_parser_answers_as_a_fresh_one(capsys, argv):
+    # cli_dispatch builds its parser once per process and keeps it.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    fresh = capsys.readouterr()
+    want = (exc.value.code, fresh.out, fresh.err)
+    assert run(capsys, *argv) == run(capsys, *argv) == want
+    assert run(capsys, "plan", "--n", "16", "--epsilon", "1/2")[0] == 0
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

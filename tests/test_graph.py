@@ -2,6 +2,7 @@ import io
 import os
 import tempfile
 import threading
+from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ from dug import (
 )
 
 import dug.graph
-from dug.graph import _canonical_edges, _parse_lines
+from dug.graph import _MAX_DIGITS, _canonical_edges, _edge_lines, _parse_lines
 
 from conftest import move_adjacency, traced_peak
 
@@ -588,6 +589,16 @@ class TestEdgeListIO:
         assert f.read_bytes() == reference_text(g).encode()
         assert load_edge_list(f) == g
 
+    @pytest.mark.parametrize("n", [10, 10**4, 10**4 + 1, 2**26])
+    def test_edge_lines_at_every_id_width(self, n):
+        # The writer's digit tables without an n-vertex graph: ids of 1 to 8 digits.
+        ids = np.array([x for x in (0, 9, 10, 99, 100, 9_999, 10_000, 99_999, 100_000, 999_999,
+                                    1_000_000, 9_999_999, 10_000_000, 2**26 - 1) if x < n],
+                       dtype=np.int32)
+        lines = _edge_lines(n, ids.size)
+        assert lines(ids, ids[::-1]) == b"".join(b"e %d %d\n" % e for e in zip(ids, ids[::-1]))
+        assert lines(ids[-1:], ids[:1]) == b"e %d %d\n" % (ids[-1], ids[0])  # a shorter block
+
     def test_row_longer_than_a_chunk_is_written_alone(self, tmp_path):
         # Vertex 1 has 6 neighbours, more than a chunk of 4 adjacency entries,
         # and 5 edges to write, more than the writer's table of 4 lines.
@@ -855,6 +866,137 @@ def test_bulk_reader_matches_line_parser_on_random_ids(data, n, chunk, fault):
     else:
         assert got == (ParseError, len(lines) + 1)
     assert tails == [None] if bulk is None else np.array_equal(tails[0], pairs)
+
+
+def same_edges(a, b) -> bool:
+    """Both None, or equal int32 endpoint arrays."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+
+
+@contextmanager
+def fixed_width_lines():
+    """A list of the lines each read's _fixed_width_words call decodes, 0 where it declines."""
+    lines = []
+    fixed_width_words = dug.graph._fixed_width_words
+
+    def spy(*args):
+        x = fixed_width_words(*args)
+        lines.append(0 if x is None else x.shape[1])
+        return x
+
+    with mock.patch("dug.graph._fixed_width_words", spy):
+        yield lines
+
+
+def decode_both_ways(data: bytes):
+    """(bulk_edges(data), the same with every read split at its separators,
+    the lines the fixed-width path decoded in the first)."""
+    with fixed_width_lines() as fixed:
+        got = bulk_edges(data)
+    with mock.patch("dug.graph._fixed_width_words", lambda *args: None):
+        general = bulk_edges(data)
+    return got, general, sum(fixed)
+
+
+def check_load_matches_line_parser(body: bytes, chunk: int):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "g.dug"
+        f.write_bytes(body)
+        with mock.patch("dug.graph._READ_CHUNK", chunk):
+            got, _ = load_traced(f)
+        assert got == line_parser_outcome(f)
+
+
+def draw_pair(draw, a, b):
+    """(u, v): u of a digits below v of b >= a digits."""
+    v = draw(st.integers(10 ** (b - 1) + 1 if b > 1 else 1, 10**b - 1))
+    return draw(st.integers(10 ** (a - 1) if a > 1 else 0, min(10**a, v) - 1)), v
+
+
+@st.composite
+def layout_runs(draw):
+    """Edge lines in runs of one layout: u of a digits, v of b >= a digits, u < v."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(1, _MAX_DIGITS))
+        b = draw(st.integers(a, _MAX_DIGITS))
+        lines += [draw_pair(draw, a, b) for _ in range(draw(st.integers(1, 6)))]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_runs(), st.integers(8, 64))
+def test_fixed_width_reads_decode_as_the_general_path(pairs, chunk):
+    """Reads of a few lines, some of one layout and some mixed, decode alike either way."""
+    n = max(v for _, v in pairs) + 1
+    lines = "".join(f"e {u} {v}\n" for u, v in pairs)
+    body = f"dug 1 {n} {len(pairs)}\n{lines}".encode()
+    with mock.patch("dug.graph._READ_CHUNK", chunk):
+        got, general, _ = decode_both_ways(body)
+    assert same_edges(got, general) and np.array_equal(got, pairs)
+    if n <= 10**4:
+        check_load_matches_line_parser(body, chunk)
+
+
+UNIFORM_FAULTS = ["none", "e to f", "space to tab", "newline to CR", "digit to /",
+                  "digit to :", "u >= v", "9 digits", "mixed layout"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8)]),
+       st.sampled_from(UNIFORM_FAULTS))
+def test_faults_in_a_uniform_read_meet_todays_result(data, widths, fault):
+    """One read of 6 lines of one layout, one byte class broken on a line before the last.
+
+    The fixed-width path refuses the read, or (u >= v) decodes it for the
+    check both paths share.  An 'f' or a tab that begins the first line
+    would only move the edge block's start to the next.
+    """
+    a, b = widths
+    pairs = [draw_pair(data.draw, a, b) for _ in range(6)]
+    lines = [f"e {u} {v}\n" for u, v in pairs]
+    at = data.draw(st.integers(1 if fault in ("e to f", "space to tab") else 0, len(lines) - 2))
+    line, u, v = lines[at], *pairs[at]
+    digit = data.draw(st.sampled_from([i for i, c in enumerate(line) if c.isdigit()]))
+    space = line.index(" ", 2)
+    if fault == "e to f":
+        line = "f" + line[1:]
+    elif fault == "space to tab":
+        tab = data.draw(st.sampled_from([1, space]))
+        line = line[:tab] + "\t" + line[tab + 1:]
+    elif fault == "newline to CR":
+        line = line[:-1] + "\r"
+    elif fault in ("digit to /", "digit to :"):
+        line = line[:digit] + fault[-1] + line[digit + 1:]
+    elif fault == "u >= v":
+        line = f"e {v} {u}\n" if a == b else f"e {u} {u:0{b}d}\n"
+    elif fault == "9 digits":
+        line = f"e {u} {v:09d}\n"
+    elif fault == "mixed layout":  # the same length, the second space one column over
+        chars, to = list(line), space - 1 if a > 1 else space + 1
+        chars[space], chars[to] = chars[to], chars[space]
+        line = "".join(chars)
+    lines[at] = line
+    body = f"dug 1 {10**b} {len(pairs)}\n{''.join(lines)}".encode()
+    got, general, fixed = decode_both_ways(body)
+    assert same_edges(got, general)
+    assert fixed == (len(lines) if fault in ("none", "u >= v") else 0)
+    if fault == "none":
+        assert np.array_equal(got, pairs)
+    if b <= 4:
+        check_load_matches_line_parser(body, dug.graph._READ_CHUNK)
+
+
+def test_benchmark_blow_up_loads_mostly_by_the_fixed_width_path(tmp_path):
+    # Lines are sorted by u, so the 12-byte lines 'e uuuu vvvv' fill the file's tail.
+    g = blow_up(build_explicit(HanoiParams(16, 2, proper=True)), 5000)
+    f = tmp_path / "big.dug"
+    save_edge_list(g, f)
+    with fixed_width_lines() as fixed:
+        assert load_edge_list(f) == g
+    assert 4 * sum(fixed) >= 3 * g.m
 
 
 def test_edge_list_io_memory_is_bounded(tmp_path):

@@ -159,8 +159,9 @@ def _cmd_solve(args) -> int:
     start = make_state(parse_state(args.start), params)
     target = make_state(parse_state(args.target), params)
     path = solve(start, target, params)
-    final = verify_path(path, params)
-    assert final == target
+    if (final := verify_path(path, params)) != target:
+        raise AssertionError(
+            f"solver path ends at {format_state(final)}, not {format_state(target)}")
     if args.json:
         print(json.dumps({
             "from": args.start,

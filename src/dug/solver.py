@@ -2,8 +2,9 @@
 
 The solver builds a path of at most 2^k - 1 moves between any two states of
 equal length.  It is not a shortest-path solver: paths are exactly the output
-of the recursive construction, and only for pairs with disjoint support is the
-length guaranteed minimal (where it necessarily equals 2^k - 1).
+of the recursive construction (``_construct_codes``, for ``dug verify`` too),
+and only for pairs with disjoint support is the length guaranteed minimal
+(where it necessarily equals 2^k - 1).
 
 Move text form: ``a<value>`` for an adjustment, ``i`` for an involution; a
 path is whitespace-separated moves, e.g. ``a3 i a0``.
@@ -12,7 +13,6 @@ path is whitespace-separated moves, e.g. ``a3 i a0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,43 +48,15 @@ class MovePath:
         return len(self.moves)
 
 
-def _alternating(first: int, second: int, length: int) -> State:
-    return ((first, second) * ((length + 1) // 2))[:length]
-
-
-# Bounded so that a long-lived caller does not grow it without limit.  It holds
-# the sub-paths that solve's calls share, not their top-level pairs: solving all
-# 65 536 pairs of (4, 4) leaves 6 757 entries.
-@lru_cache(maxsize=1 << 16)
-def _construct(a: State, b: State) -> tuple[Move, ...]:
-    # Recursion from the 2^k - 1 upper-bound proof.  Moves carry no positions,
-    # so a solution for the length-(k-1) tails replays verbatim on the full
-    # states: tail adjustments stay adjustments, and a tail involution's
-    # segment never extends to position 1 because every intermediate first
-    # entry is a_1 or b_1, neither of which is among the swapped values.
-    k = len(a)
-    if a == b:
-        return ()
-    if k == 1:
-        return (Adjust(b[0]),)
-    if a[0] == b[0]:
-        return _construct(a[1:], b[1:])
-    # Walk a to the alternating state (a_1, b_1, a_1, ...), flip it wholesale
-    # to (b_1, a_1, b_1, ...) with one involution, then walk on to b.
-    mid = _alternating(a[0], b[0], k)
-    flipped = _alternating(b[0], a[0], k)
-    return _construct(a[1:], mid[1:]) + (INVOLUTE,) + _construct(flipped[1:], b[1:])
-
-
 def solve(a, b, params: HanoiParams) -> MovePath:
     """Path from ``a`` to ``b`` with at most 2^k - 1 moves.
 
     Every intermediate state has first entry a_1 or b_1; consequently the path
     stays within proper states whenever ``a`` and ``b`` are proper.
     """
-    start = make_state(a, params)
-    goal = make_state(b, params)
-    return MovePath(start=start, moves=_construct.__wrapped__(start, goal))
+    start, goal = make_state(a, params), make_state(b, params)
+    _, codes = _construct_codes(np.array([start]), np.array([goal]), params.r)
+    return MovePath(start, tuple(INVOLUTE if c > params.r else Adjust(c) for c in codes.tolist()))
 
 
 def verify_path(path: MovePath, params: HanoiParams) -> State:
@@ -109,63 +81,90 @@ def path_states(path: MovePath, params: HanoiParams) -> list[State]:
     return states
 
 
-def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> np.ndarray:
-    """:func:`_construct` for the pairs of rows of ``a`` and ``b`` (p x k), as move codes.
+def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solver paths for the pairs of rows of ``a`` and ``b`` (p x k), as move codes.
 
-    Returns a (p, 2^k - 1) matrix with one slot per node of the recursion's
-    binary tree, in order: -1 for an empty slot, c for the adjustment to c and
-    r + 1 for the involution.  Row i's codes other than -1 are the moves of
-    ``_construct(a[i], b[i])``.  Each level of the tree takes one round of
-    array operations, over the sub-problems of all p pairs.
+    Returns ``(offsets, codes)``: row i's moves, in order, are
+    ``codes[offsets[i]:offsets[i + 1]]``, c for the adjustment to c and r + 1
+    for the involution.  Work, memory and indices follow the moves, not the
+    2^k - 1 nodes of a full recursion tree.
     """
+    # Recursion from the 2^k - 1 upper-bound proof.  Moves carry no positions,
+    # so a path for the tails replays verbatim on the full states: tail
+    # adjustments stay adjustments, and a tail involution's segment never
+    # reaches position 1, because every intermediate first entry is x = a_1 or
+    # y = b_1, neither of which is among the swapped values.  When x = y the
+    # tails are the one sub-problem; otherwise walk a's tail to (y, x, ...),
+    # flip (x, y, ...) to (y, x, ...) with one involution, and walk (x, y, ...)
+    # on to b's tail.  A state is one integer, `bits` bits per entry, first
+    # entry highest: int64 while k entries fit in 63 bits, Python ints past that.
     p, k = a.shape
-    dtype = np.min_scalar_type(-r - 2)  # holds -1..r + 1
-    codes = np.empty((p, 2**k - 1), dtype=dtype)
-    # Level j's 2^j sub-problems per pair: (start, goal) rows of length k - j.
-    starts, goals = a.astype(dtype)[:, None], b.astype(dtype)[:, None]
-    for j in range(k):
-        x, y = starts[..., :1], goals[..., :1]
-        differ = x != y
-        # Node i of level j sits at slot (2i + 1) 2^(k-1-j) - 1.
-        codes[:, (1 << (k - 1 - j)) - 1::1 << (k - j)] = np.where(
-            differ, y if j == k - 1 else r + 1, -1)[..., 0]
-        # Node i's children are nodes 2i and 2i + 1 of the next level (empty
-        # after the last).  First entries that differ split the pair at the
-        # alternating states (x, y, x, ...) and (y, x, y, ...), whose tails are
-        # the left goal and the right start; first entries that agree leave the
-        # tails on the left and an empty pair on the right.
-        nxt = np.broadcast_to(goals[:, :, None, 1:], (2, p, 2**j, 2, k - j - 1)).copy()
-        nxt[0, :, :, 0] = starts[..., 1:]  # nxt: the next level's (starts, goals)
-        for side, u, w in ((nxt[1, :, :, 0], y, x), (nxt[0, :, :, 1], x, y)):
-            np.copyto(side[..., 0::2], u, where=differ)
-            np.copyto(side[..., 1::2], w, where=differ)
-        starts, goals = nxt.reshape(2, p, 2 ** (j + 1), k - j - 1)
-    return codes
+    bits = r.bit_length()
+    dtype = np.int64 if k * bits < 63 else object
+    starts, goals = np.zeros((2, p), dtype=dtype)
+    for a_i, b_i in zip(a.astype(dtype).T, b.astype(dtype).T):
+        starts, goals = starts << bits | a_i, goals << bits | b_i
+    # Down, one round of array operations per level: which sub-problems hold the
+    # involution, and which children still differ (the next level, left ones first).
+    levels = []
+    for t in range(k - 1, 0, -1):  # the length of the tails
+        x, y = starts >> bits * t, goals >> bits * t
+        starts, goals = starts & (1 << bits * t) - 1, goals & (1 << bits * t) - 1
+        even = sum(1 << bits * i for i in range(t - 1, -1, -2))
+        odd = even >> bits  # (u, w, u, ...) of length t is u * even + w * odd
+        move = x != y
+        left, right = np.where(move, y * even + x * odd, goals), x * even + y * odd
+        kept_left, kept_right = starts != left, move & (right != goals)
+        levels.append((move, kept_left, kept_right))
+        starts = np.concatenate([starts[kept_left], right[kept_right]])
+        goals = np.concatenate([left[kept_left], goals[kept_right]])
+    # Up: the moves under each sub-problem and its left child.  Down again: a
+    # sub-problem whose moves start at o has its involution at o + (its left
+    # child's moves), and its right child starts one past that.
+    adjust = starts != goals  # the last level's sub-problems that differ
+    size, lefts = adjust.astype(np.int64), []
+    for move, kept_left, kept_right in reversed(levels):
+        left, right = np.zeros((2, len(move)), dtype=np.int64)
+        cut = np.count_nonzero(kept_left)
+        left[kept_left], right[kept_right] = size[:cut], size[cut:]
+        size = left + right + move
+        lefts.append(left)
+    offsets = np.concatenate([[0], np.cumsum(size)])
+    codes = np.empty(offsets[-1], dtype=np.min_scalar_type(r + 1))
+    at = offsets[:-1]
+    for (move, kept_left, kept_right), left in zip(levels, reversed(lefts)):
+        codes[(at + left)[move]] = r + 1
+        at = np.concatenate([at[kept_left], (at + left + 1)[kept_right]])
+    codes[at[adjust]] = goals[adjust]
+    return offsets, codes
 
 
-def _replay_codes(codes: np.ndarray, starts: np.ndarray, goals: np.ndarray,
-                  table: np.ndarray, first: np.ndarray) -> bool:
-    """Replay each row of a move-code matrix over vertex ids, a column at a time.
+def _replay_codes(offsets: np.ndarray, codes: np.ndarray, starts: np.ndarray,
+                  goals: np.ndarray, table: np.ndarray, first: np.ndarray) -> bool:
+    """Replay the codes of :func:`_construct_codes` over vertex ids, a move of every row at a time.
 
-    True when every row's codes are legal moves from vertex ``starts[i]``,
-    keep its first entry at its start's or goal's, and lead to ``goals[i]``.
-    Codes are those of :func:`_construct_codes`; ``table[v, c]`` is the
-    vertex that code c leads to from v, -1 when it is illegal there, and
-    ``first[v]`` is v's first entry.  The replay calls no move function.
+    True when row i's codes are legal moves from vertex ``starts[i]``, keep
+    its first entry at its start's or goal's, and lead to ``goals[i]``.
+    ``table[v, c]`` is the vertex that code c leads to from v, -1 when it is
+    illegal there, and ``first[v]`` is v's first entry.  No move function runs.
     """
-    # A code outside -1..r + 1 is no move: r + 2 would index past the table,
-    # and -2 would pass as an empty slot.
-    if ((codes < -1) | (codes >= table.shape[1])).any():
+    # Codes outside 0..r + 1 name no move (the table would read -1 from its end).
+    if ((codes < 0) | (codes >= table.shape[1])).any():
         return False
-    visited = np.empty(codes.shape[::-1], dtype=table.dtype)
-    v = starts
-    for c, row in zip(codes.T, visited):
-        v = row[:] = np.where(c < 0, v, table[v, c])
+    # Rows longest first, so the rows with a t-th move are a prefix.
+    lengths = np.diff(offsets)
+    order = np.argsort(-lengths, kind="stable")
+    at, v = offsets[:-1][order], starts[order]
+    visited = np.empty(codes.size, dtype=table.dtype)
+    for t, m in enumerate(np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))):
+        here = at[:m] + t
+        v[:m] = visited[here] = table[v[:m], codes[here]]
     # Vertex -1 has first entry -1, no start's or goal's, so a walk that made
     # an illegal move fails here, whatever it read from the table after.
     firsts = np.append(first, -1)[visited]
-    return bool(((firsts == first[starts]) | (firsts == first[goals])).all()
-                and np.array_equal(v, goals))
+    return bool(((firsts == np.repeat(first[starts], lengths))
+                 | (firsts == np.repeat(first[goals], lengths))).all()
+                and np.array_equal(v, goals[order]))
 
 
 def format_move(move: Move) -> str:

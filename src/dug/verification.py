@@ -23,9 +23,9 @@ random states, so the table equals the move rules on every state: 79
 A fault in ``apply_move`` that shows only on non-canonical states passes the
 suite and fails that test, the trade the solver row already makes.  The
 adjacency-symmetry row reads the same table's canonical rows, the involution
-row all of it.  The solver paths of a block of pair orbits are built as one
-matrix of move codes and replayed column by column over vertex ids through
-the proper one, with no ``apply_move`` call for their 27 060 moves.  A move
+row all of it.  The solver paths of a block of pair orbits are built as move
+codes, as ``solve`` builds one, and replayed a move of every path at a time
+through the proper one, with no ``apply_move`` call for their 27 060 moves.  A move
 that breaks the rules fails the solver row; it is not an input error.  The
 solver runs on states that the "state counts" row validated in bulk, so no
 call re-validates them.
@@ -66,7 +66,7 @@ from .solver import _construct_codes, _replay_codes
 from .truncation import _certify, iterate_truncation
 
 
-# Move codes per block of solver paths: bounds their memory whatever the pair count.
+# Moves per block of solver paths, 2^k - 1 a pair at most: bounds their memory.
 _BLOCK_CODES = 1 << 18
 
 
@@ -193,6 +193,9 @@ def run_verify_suite(
     replays (evenly sampled when there are more); its detail names how many
     of the n^2 pairs the sample covers.  The disjoint-support check always
     covers every orbit.  A ``pair_limit`` below 1 raises ValueError.
+    Solver paths come from ``solver._construct_codes`` in blocks of
+    ``_BLOCK_CODES >> k`` pairs: the sample, replayed, then the
+    disjoint-support orbits left out of it.
     """
     if pair_limit is not None and pair_limit < 1:
         raise ValueError(f"pair sample must be at least 1, got {pair_limit}")
@@ -318,24 +321,24 @@ def run_verify_suite(
         ok = covered == total_pairs
         if not ok:
             scope += f"; orbits cover {covered} of {total_pairs} pairs"
-        # Solve the sample and every disjoint-support orbit in blocks; replay the sample.
+        # Solve and replay the sample, then solve the disjoint orbits left out.
         seconds = states_p[pair_b]
         shared = np.zeros(pair_a.size, dtype=bool)
         for j in range(k):
             shared |= (seconds == states_p[first, j][:, None]).any(axis=1)
-        replay = np.zeros(pair_a.size, dtype=bool)
-        replay[picked] = True
-        solved = np.flatnonzero(replay | ~shared)
+        rest = ~shared
+        rest[picked] = False
         lengths = np.zeros(pair_a.size, dtype=np.int32)
         replayed = True
         step = max(1, _BLOCK_CODES >> k)
-        for lo in range(0, solved.size, step):
-            p = solved[lo:lo + step]
-            codes = _construct_codes(states_p[first[p]], states_p[pair_b[p]], r)
-            lengths[p] = (codes >= 0).sum(axis=1)
-            p, codes = p[replay[p]], codes[replay[p]]
-            replayed = replayed and _replay_codes(
-                codes, first[p], pair_b[p], table_p, states_p[:, 0])
+        for solved, replay in ((picked, True), (np.flatnonzero(rest), False)):
+            for lo in range(0, solved.size, step):
+                p = solved[lo:lo + step]
+                offsets, codes = _construct_codes(states_p[first[p]], states_p[pair_b[p]], r)
+                lengths[p] = np.diff(offsets)
+                if replay:
+                    replayed = replayed and _replay_codes(
+                        offsets, codes, first[p], pair_b[p], table_p, states_p[:, 0])
         ok = ok and replayed and bool(
             (lengths[picked] <= target).all() and (lengths[picked] >= pair_dist[picked]).all()
         )

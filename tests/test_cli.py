@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import dug.cli
 from dug import (
     DEFAULT_STATE_CAP,
+    Adjust,
     HanoiParams,
+    MovePath,
     build_explicit,
     load_edge_list,
     parse_path,
@@ -147,9 +150,29 @@ def test_solve_disjoint_pair(capsys):
     params = HanoiParams(5, 4, proper=True)
     path = solve((1, 2, 1, 2), (3, 4, 3, 4), params)
     assert moves == path.moves
-    from dug import MovePath
-
     assert verify_path(MovePath((1, 2, 1, 2), moves), params) == (3, 4, 3, 4)
+
+
+@pytest.mark.parametrize("k", [40, 70])
+def test_solve_at_large_k_builds_only_the_moves(capsys, k):
+    """One adjustment apart at k = 40 and 70: no array sized 2^k, no index of k bits."""
+    start = ",".join(["1", "2"] * (k // 2))
+    target = start[:-1] + "3"
+    argv = ["solve", "--r", "3", "--k", str(k), "--from", start, "--to", target]
+    assert run(capsys, *argv) == (0, "a3\n1 moves\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"from": start, "to": target, "moves": ["a3"], "count": 1}
+    a, b = (tuple(map(int, text.split(","))) for text in (start, target))
+    assert traced_peak(lambda: solve(a, b, HanoiParams(3, k))) < 1 << 20
+
+
+def test_solve_checks_its_path_without_assert(capsys, monkeypatch):
+    """A path that ends off target raises AssertionError naming both states, also under -O."""
+    monkeypatch.setattr(dug.cli, "solve", lambda a, b, params: MovePath(a, (Adjust(3),)))
+    with pytest.raises(AssertionError, match=r"^solver path ends at 1,3, not 3,4$"):
+        cli_dispatch(["solve", "--r", "4", "--k", "2", "--from", "1,2", "--to", "3,4"])
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_bad_state(capsys):

@@ -755,6 +755,27 @@ def test_bulk_parser_defers_on_near_canonical_files(tmp_path, body):
 
 @pytest.mark.parametrize(
     "body",
+    ["dug 1 2 1\ne \u0660 \u0661\n", "dug 1 2 1\ne 0\u00a01\n"],
+    ids=["arabic-indic digits", "no-break space"],
+)
+def test_line_parser_takes_unicode_digits_and_spaces(tmp_path, body):
+    """Today's behaviour, pinned: both files load as the edge 0-1.
+
+    The writer never produces them, but Python's int() reads any Unicode
+    decimal digit and str.split() splits at any Unicode space.  The bulk
+    reader takes ASCII alone and leaves both files to the line parser.
+    Whether to refuse such files is a separate decision.
+    """
+    f = tmp_path / "g.dug"
+    f.write_bytes(body.encode())
+    assert bulk_edges(f.read_bytes()) is None
+    got, tails = load_traced(f)
+    assert tails == [None]
+    assert isinstance(got, ExplicitGraph) and got.n == 2 and reference_edges(got) == [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "body",
     [
         "# made by hand\r\n\r\ndug 1 3 2\r\n# labels\r\nl 2 c\r\nl 0 a\r\n\r\nl 1 b\r\n"
         "e 0 1\ne 1 2\n",

@@ -1,7 +1,7 @@
 """Every name a dug module imports is used in that module, only graph.py
-names the BFS oracle and only solver.py the scalar solver recursion, no module
-calls BLAS or a numpy set routine, and ``import dug`` starts no OpenBLAS
-thread pool.
+names the BFS oracle, no module names the scalar solver recursion, holds an
+``assert`` statement, or calls BLAS or a numpy set routine, and ``import dug``
+starts no OpenBLAS thread pool.
 
 A `# noqa` comment on the line of an imported name exempts it (a binding kept
 for code outside the module).  ``__init__.py`` is left out: it imports names
@@ -12,8 +12,11 @@ thread; the fresh interpreters below check that it leaves ``os.environ`` and
 a caller's own BLAS settings as they were.  The first call of ``np.unique``
 or a numpy set routine imports ``numpy.ma`` (16-23 ms on a 2-CPU x86_64 host),
 so no module names one, and the verify suite and the CLI round trip leave
-``numpy.ma`` unimported.  The verify suite builds its solver paths in blocks
-(``solver._construct_codes``), so no module but solver.py names ``_construct``.
+``numpy.ma`` unimported.  ``solve`` and the verify suite build their solver
+paths with one array construction (``solver._construct_codes``); the scalar
+recursion ``_construct`` lives in the tests as its reference, so no module
+names it.  ``python -O`` drops ``assert`` statements, so a runtime check in
+dug raises its error explicitly.
 """
 
 import ast
@@ -82,9 +85,26 @@ def test_only_graph_names_the_bfs_oracle(module):
     assert "bfs_distances" not in names_used((SRC / module).read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "solver.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_only_solver_names_the_scalar_recursion(module):
-    assert "_construct" not in names_used((SRC / module).read_text(encoding="utf-8"))
+    """Now none does, solver.py included, and no module keeps an ``lru_cache``."""
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert names_used(source) & {"_construct", "lru_cache"} == set()
+
+
+def asserts(source: str) -> list[int]:
+    """The line of each ``assert`` statement in the source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_asserts_sees_statements_not_names():
+    source = "x = 1\nassert x, 'no'\nAssertionError('assert')\ndef f():\n    assert f\n"
+    assert asserts(source) == [2, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_holds_an_assert(module):
+    assert asserts((SRC / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

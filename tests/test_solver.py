@@ -18,9 +18,9 @@ from dug import (
     solve,
     verify_path,
 )
-from dug.solver import _construct, _construct_codes
+from dug.solver import _construct_codes
 
-from conftest import move_adjacency, oracle_all_pairs
+from conftest import move_adjacency, oracle_all_pairs, scalar_construct
 
 
 def test_solve_identity():
@@ -158,25 +158,26 @@ def test_solve_properties_random(pab):
 
 @st.composite
 def relabeled_pair(draw):
-    """Two states of one (r, k), either mode, and a permutation of 1..r fixing 0."""
+    """Parameters of one (r, k), either mode, two of its states, and a permutation of 1..r fixing 0."""
     r = draw(st.integers(2, 7))
     k = draw(st.integers(1, 6))
     proper = draw(st.booleans())
     sigma = [0, *draw(st.permutations(range(1, r + 1)))]
-    return draw_state(draw, r, k, proper), draw_state(draw, r, k, proper), sigma
+    a, b = draw_state(draw, r, k, proper), draw_state(draw, r, k, proper)
+    return HanoiParams(r, k, proper=proper), a, b, sigma
 
 
 @given(relabeled_pair())
 def test_construct_commutes_with_relabeling(case):
-    a, b, sigma = case
+    params, a, b, sigma = case
 
     def relabel(state):
         return tuple(sigma[v] for v in state)
 
-    moved = tuple(
-        Adjust(sigma[m.value]) if isinstance(m, Adjust) else m for m in _construct(a, b)
-    )
-    assert _construct(relabel(a), relabel(b)) == moved
+    moves = solve(a, b, params).moves
+    assert moves == scalar_construct(a, b)
+    moved = tuple(Adjust(sigma[m.value]) if isinstance(m, Adjust) else m for m in moves)
+    assert solve(relabel(a), relabel(b), params).moves == moved
 
 
 def move_codes(moves, r: int) -> list[int]:
@@ -203,37 +204,7 @@ def state_pairs(draw):
 def test_construct_codes_match_construct(case):
     r, k, pairs = case
     a, b = (np.array([pair[i] for pair in pairs], dtype=np.int32) for i in (0, 1))
-    codes = _construct_codes(a, b, r)
-    assert codes.shape == (len(pairs), 2**k - 1)
-    for row, pair in zip(codes.tolist(), pairs):
-        assert [c for c in row if c != -1] == move_codes(_construct(*pair), r)
-
-
-def test_construct_cache_is_bounded():
-    limit = _construct.cache_info().maxsize
-    # solve over the 2 795 pair-orbit representatives of (4, 4) leaves 1 203
-    # sub-paths, over all its 65 536 pairs 6 757
-    assert limit is not None and limit >= 1203
-    _construct.cache_clear()
-    try:
-        for x in range(1, 300):
-            for y in range(300):
-                if y != x:
-                    _construct((1, 0), (x, y))
-        assert _construct.cache_info().currsize == limit
-    finally:
-        _construct.cache_clear()
-
-
-def test_solve_caches_only_the_sub_paths():
-    a, b = (1, 2, 3, 4), (4, 3, 2, 1)
-    _construct.cache_clear()
-    try:
-        path = solve(a, b, HanoiParams(4, 4, proper=True))
-        assert _construct.cache_info().currsize > 0
-        # the top-level pair is not kept: asking for it again misses
-        misses = _construct.cache_info().misses
-        assert _construct(a, b) == path.moves
-        assert _construct.cache_info().misses == misses + 1
-    finally:
-        _construct.cache_clear()
+    offsets, codes = _construct_codes(a, b, r)
+    assert offsets.shape == (len(pairs) + 1,) and offsets[0] == 0 and offsets[-1] == codes.size
+    for i, pair in enumerate(pairs):
+        assert codes[offsets[i]:offsets[i + 1]].tolist() == move_codes(scalar_construct(*pair), r)

@@ -33,7 +33,7 @@ from dug import (
 )
 from dug.cli import cli_dispatch
 from dug.hanoi import _first_appearance, _move_ranks, apply_move, state_index, state_matrix
-from dug.solver import _construct, _construct_codes, _replay_codes
+from dug.solver import _construct_codes, _replay_codes
 from dug.verification import (
     CheckResult,
     _is_equivariant,
@@ -45,7 +45,7 @@ from dug.verification import (
     run_verify_suite,
 )
 
-from conftest import traced_peak
+from conftest import scalar_construct, traced_peak
 
 PAIR_ROWS = (
     "solver vs BFS bounds",
@@ -74,9 +74,10 @@ def all_pairs_rows(r: int, k: int) -> list[CheckResult]:
     """The three pair rows as the suite computed them before its orbit reduction.
 
     One n x n distance matrix and n x n support masks; every ordered pair is
-    solved by the solver's construction (``solve`` minus re-validating the
-    enumerated states) and its path replayed move by move through a transition
-    table built from ``apply_move``, the replay ``path_states`` performs.
+    solved by the scalar recursion of the solver's construction
+    (``scalar_construct``) and its path replayed move by move through a
+    transition table built from ``apply_move``, the replay ``path_states``
+    performs.
     """
     proper = HanoiParams(r, k, proper=True)
     states = enumerate_states(proper)
@@ -94,19 +95,16 @@ def all_pairs_rows(r: int, k: int) -> list[CheckResult]:
 
     lengths = np.empty((n, n), dtype=np.int64)
     replayed = True
-    try:
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                moves = _construct(a, b)
-                lengths[i, j] = len(moves)
-                v = i
-                for move in moves:
-                    v = step[v][r + 1 if move is INVOLUTE else move.value]
-                    if v < 0 or states[v][0] not in (a[0], b[0]):
-                        break
-                replayed = replayed and v == j
-    finally:
-        _construct.cache_clear()
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            moves = scalar_construct(a, b)
+            lengths[i, j] = len(moves)
+            v = i
+            for move in moves:
+                v = step[v][r + 1 if move is INVOLUTE else move.value]
+                if v < 0 or states[v][0] not in (a[0], b[0]):
+                    break
+            replayed = replayed and v == j
     ok = replayed and bool((lengths <= target).all() and (lengths >= dist).all())
     rows = [CheckResult("solver vs BFS bounds", ok, f"all {n * n} pairs")]
 
@@ -576,15 +574,15 @@ def test_broken_solver_fails_pair_rows(monkeypatch):
     Disjoint-support paths gain two adjustments that cancel out (to a_1 and
     back), which every relabeling carries along.  Faults that do not commute
     with relabeling would only show on pairs the suite never replays; the
-    hypothesis test of ``_construct``'s equivariance in test_solver.py covers
+    hypothesis test of the solver's equivariance in test_solver.py covers
     those, not this suite.
     """
     real = dug.verification._construct_codes
 
     def lengthened(a, b, r):
         shared = (a[:, :, None] == b[:, None, :]).any(axis=(1, 2))
-        extra = np.where(shared[:, None], -1, np.stack([a[:, 0], b[:, -1]], axis=1))
-        return np.hstack([real(a, b, r), extra])
+        return ragged([row if sh else row + [x, y] for row, sh, x, y in zip(
+            code_rows(*real(a, b, r)), shared, a[:, 0].tolist(), b[:, -1].tolist())])
 
     monkeypatch.setattr(dug.verification, "_construct_codes", lengthened)
     for r, k in ((3, 2), (4, 3)):
@@ -594,18 +592,30 @@ def test_broken_solver_fails_pair_rows(monkeypatch):
         assert rows[AUTOMORPHISM].ok and rows["diameter"].ok
 
 
-# (a, b) of (3, 2) -> the codes a faulty solver returns for that pair, -1 in
-# the slots after them; each fault breaks one rule of the replay and keeps
-# every other one.  Code 4 is the involution.  A code outside -1..4 names no
-# move: 5 would index past the move table, and -2 after the adjustment from
-# (1, 2) to (1, 3) would pass as an empty slot.
+# (a, b) of (3, 2) -> the codes a faulty solver returns for that pair; each
+# fault breaks one rule of the replay and keeps every other one.  Code 4 is
+# the involution.  A code outside 0..4 names no move: 5 would index past the
+# move table, and a negative one would index it from its end, so that -1 in
+# place of the involution would replay as the involution.
 FAULTS = {
     "illegal adjustment": (((1, 2), (1, 3)), [1]),
     "ends at the wrong state": (((1, 2), (1, 3)), [0]),
     "first entry leaves a_1, b_1": (((1, 2), (1, 3)), [4, 4, 3]),
     "adjustment past r, where the involution is legal": (((1, 2), (2, 1)), [5]),
     "code below -1 after the right move": (((1, 2), (1, 3)), [3, -2]),
+    "code -1 in place of the involution": (((1, 2), (2, 1)), [-1]),
 }
+
+
+def code_rows(offsets, codes) -> list[list[int]]:
+    """Each row's move codes, from the (offsets, codes) form of ``_construct_codes``."""
+    return [codes[s:e].tolist() for s, e in zip(offsets[:-1], offsets[1:])]
+
+
+def ragged(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (offsets, codes) form of a list of move-code rows."""
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    return offsets, np.array([c for row in rows for c in row], dtype=np.int64)
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -615,12 +625,11 @@ def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
     real = dug.verification._construct_codes
 
     def faulty(starts, goals, r):
-        codes = real(starts, goals, r)
-        hit = (starts == a).all(axis=1) & (goals == b).all(axis=1)
-        assert hit.sum() == 1
-        codes[hit] = -1
-        codes[hit, :len(fault_codes)] = fault_codes
-        return codes
+        rows = code_rows(*real(starts, goals, r))
+        hit = np.flatnonzero((starts == a).all(axis=1) & (goals == b).all(axis=1))
+        assert hit.size == 1
+        rows[hit[0]] = fault_codes
+        return ragged(rows)
 
     monkeypatch.setattr(dug.verification, "_construct_codes", faulty)
     assert [c.name for c in run_verify_suite(3, 2) if not c.ok] == ["solver vs BFS bounds"]
@@ -632,7 +641,7 @@ def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
 
 
 def _representative_codes(params):
-    """State matrix, and the move codes, start and goal vertex of every pair-orbit representative."""
+    """State matrix, (offsets, codes) of every pair-orbit representative, and their start and goal."""
     states = state_matrix(params)
     sources, pair_a, pair_b, _ = _pair_orbits(states)
     starts = sources[pair_a]
@@ -643,22 +652,18 @@ def _representative_codes(params):
     "r,k", [(r, k) for r, k in DESK if r > 1], ids=[f"r{r}k{k}" for r, k in DESK if r > 1]
 )
 def test_construct_codes_match_construct_on_every_orbit(r, k):
-    states, codes, starts, goals = _representative_codes(HanoiParams(r, k, proper=True))
+    states, paths, starts, goals = _representative_codes(HanoiParams(r, k, proper=True))
     listed = list(map(tuple, states.tolist()))
-    try:
-        for row, a, b in zip(codes.tolist(), starts.tolist(), goals.tolist()):
-            moves = _construct(listed[a], listed[b])
-            assert [c for c in row if c != -1] == [
-                r + 1 if m is INVOLUTE else m.value for m in moves]
-    finally:
-        _construct.cache_clear()
+    for row, a, b in zip(code_rows(*paths), starts.tolist(), goals.tolist()):
+        moves = scalar_construct(listed[a], listed[b])
+        assert row == [r + 1 if m is INVOLUTE else m.value for m in moves]
 
 
 def test_replay_calls_no_move_function(monkeypatch):
     """The 2 795 paths of (4, 4), 27 060 moves, replay through the move table alone."""
     proper = HanoiParams(4, 4, proper=True)
-    states, codes, starts, goals = _representative_codes(proper)
-    assert codes.shape == (2795, 15) and int((codes >= 0).sum()) == 27060
+    states, (offsets, codes), starts, goals = _representative_codes(proper)
+    assert offsets.shape == (2796,) and codes.shape == (27060,)
     table = _move_table(list(map(tuple, states.tolist())), proper)
 
     def refused(*args):
@@ -668,33 +673,37 @@ def test_replay_calls_no_move_function(monkeypatch):
         for name in ("apply_move", "legal_moves", "neighbors"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
-    assert _replay_codes(codes, starts, goals, table, states[:, 0])
+    assert _replay_codes(offsets, codes, starts, goals, table, states[:, 0])
 
 
 def test_replay_memory_is_bounded_by_the_block(monkeypatch):
     """Solving and replaying four times the pairs adds a few bytes per pair, not its codes.
 
-    (2, 7) has 8 192 pair orbits, 127 code slots each, and no pair of
+    (2, 7) has 8 192 pair orbits, at most 127 moves each, and no pair of
     disjoint support, so the sample sets how many are solved.
     """
     block = 1 << 14
     monkeypatch.setattr(dug.verification, "_BLOCK_CODES", block)
     real = dug.verification._construct_codes
-    sizes = []
+    rows, sizes = [], []
 
     def spy(a, b, r):
-        codes = real(a, b, r)
+        offsets, codes = real(a, b, r)
+        rows.append(len(a))
         sizes.append(codes.size)
-        return codes
+        return offsets, codes
 
     monkeypatch.setattr(dug.verification, "_construct_codes", spy)
     peaks = []
     for limit in (2048, 8192):
+        rows.clear()
         sizes.clear()
         peaks.append(traced_peak(lambda: run_verify_suite(2, 7, pair_limit=limit)))
-    assert sum(sizes) == 8192 * 127 and max(sizes) <= block
+    assert sum(rows) == 8192 and max(rows) <= block >> 7
+    assert max(sizes) <= block and sum(sizes) == 349504
     # The sample and the solved pairs are int64 index arrays, 16 bytes a pair;
-    # 6 144 more pairs in one matrix would add 780 288 code slots.
+    # 6 144 more pairs in one block would add their 42.7 moves each on
+    # average, a byte per code and four per visited vertex.
     assert peaks[1] - peaks[0] < 16 * 6144
     assert peaks[1] < 1.25 * peaks[0]
 

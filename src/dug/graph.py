@@ -23,10 +23,9 @@ from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
     TooLarge,
-    _first_appearance,
     _move_ranks,
+    _orbit_index,
     _sorted_unique,
-    encode_states,
     format_state,
     state_matrix,
 )
@@ -76,24 +75,28 @@ class ExplicitGraph:
 
     ``classes`` is None, or for each vertex the id of its class's
     representative, where the vertices of one class provably have equal
-    distance histograms.  Only :func:`build_explicit` sets it, and equality
+    distance histograms.  Only :func:`build_explicit` passes it, when it
+    makes the graph; it is read-only and cannot be assigned, so the kept
+    table is always read through the index it was built from.  Equality
     ignores it.  It only makes the all-source table smaller: a graph without
     it gets one row per vertex and the same analyses, and no caller that
     names its sources depends on it.
     """
 
-    __slots__ = ("n", "indptr", "indices", "labels", "classes", "_histograms")
+    __slots__ = ("n", "indptr", "indices", "labels", "_classes", "_histograms")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
-                 labels: tuple[str, ...] | None):
+                 labels: tuple[str, ...] | None, classes: np.ndarray | None = None):
         self.n = n
         self.indptr = indptr
         self.indices = indices
         self.labels = labels
-        self.classes = None
+        self._classes = classes
         self._histograms = None
         indptr.setflags(write=False)
         indices.setflags(write=False)
+        if classes is not None:
+            classes.setflags(write=False)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "ExplicitGraph":
@@ -102,7 +105,9 @@ class ExplicitGraph:
         It serves edge lists, from the file loader and from tests; the
         builders (Hanoi graphs, blow-ups, truncations) write their CSR
         directly.  An integer array is read as it is, with no widening copy,
-        and never written to.  The sort keys, one per adjacency entry, are
+        and never written to; a non-empty input of any other dtype (float,
+        bool, object) raises ValueError, and an empty one of any dtype gives
+        the edgeless graph.  The sort keys, one per adjacency entry, are
         uint32 up to n = 2^16 and then become the int32 indices in place;
         above that they are int64.  Besides them and the result, assembly
         holds one block of row bounds, duplicate flags or row bases, so a
@@ -121,8 +126,8 @@ class ExplicitGraph:
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         arr = np.asarray(edges)
-        if arr.dtype.kind not in "iu":
-            arr = arr.astype(np.int64)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got dtype {arr.dtype}")
         arr = arr.reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise BadVertex(f"edge endpoint outside 0..{n - 1}")
@@ -174,6 +179,10 @@ class ExplicitGraph:
             key[indptr[lo]:indptr[hi]] -= np.repeat(rows, np.diff(indptr[lo:hi + 1]))
         indices = key.view(np.int32) if kt is np.uint32 else key.astype(np.int32)
         return cls(n, indptr, indices, labels)
+
+    @property
+    def classes(self) -> np.ndarray | None:
+        return self._classes
 
     @property
     def m(self) -> int:
@@ -251,11 +260,10 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     ranks, sorted and without the -1 of illegal moves; the verify suite
     checks it against the move rules, applied state by state.
 
-    Renaming the values 1..r (0 fixed) of proper states, or 0..r of all
-    states, is an automorphism of the graph (Hinz et al., *The Tower of Hanoi
-    -- Myths and Maths*, 2013).  So ``classes`` maps each state to the
-    canonical state of its orbit, the one naming its values in order of first
-    appearance, and the all-source analyses scan one source per orbit.
+    Each value renaming of the mode is an automorphism of the graph, so
+    ``classes`` is hanoi._orbit_index, mapping each state to the canonical
+    state of its orbit, and the all-source analyses scan one source per
+    orbit.  The verify suite certifies that index with the move table.
     """
     n = params.state_count()
     S = state_matrix(params, cap)
@@ -269,11 +277,7 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     indices = table[legal]
     del table, legal
     labels = tuple(map(format_state, S.tolist()))
-    g = ExplicitGraph(n, indptr, indices, labels)
-    canonical, _ = _first_appearance(S, 0 if params.proper else -1)
-    g.classes = encode_states(canonical, params)
-    g.classes.setflags(write=False)
-    return g
+    return ExplicitGraph(n, indptr, indices, labels, _orbit_index(S, params))
 
 
 def bfs_distances(g: ExplicitGraph, source: int) -> np.ndarray:
@@ -582,8 +586,11 @@ def _edge_lines(n: int, size: int):
     from a table of the 10^4 group values through a byte-strided view: the
     leading group's text has NUL for its leading zeros (and is four NULs
     for 0 when a lower group follows), a lower group's is zero-padded.
-    bytes.replace drops the NULs.  The group table is built here, from uint8
-    and uint16 temporaries, so importing dug costs nothing for it.
+    bytes.replace, which skips from one NUL to the next, drops the few NULs
+    of one group; bytes.translate, one pass over every byte, drops the many
+    of two, where every id below 10^4 leads with four.  The group table is
+    built here, from uint8 and uint16 temporaries, so importing dug costs
+    nothing for it.
     """
     groups = 1 if n <= 10**4 else 2
     width = 4 * groups
@@ -614,7 +621,8 @@ def _edge_lines(n: int, size: int):
             np.maximum(high, 1, out=high)
             high -= 1
             np.take(text, ids - high * 10**4, out=out[:, 1], mode="clip")
-        return table.tobytes().replace(b"\0", b"")
+        data = table.tobytes()
+        return data.replace(b"\0", b"") if groups == 1 else data.translate(None, b"\0")
 
     return lines
 

@@ -286,13 +286,11 @@ def _first_appearance(rows: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarr
 
     The values 0..used keep their names; the others become used + 1,
     used + 2, ... in the order they first appear in the row.  A row is
-    canonical when it equals its relabeling.  With used = 0 the relabeling is
-    the canonical form of a proper state under the value relabelings that
-    fix 0; with used = -1, that of any state under every relabeling of
-    0..r; with used = w, that of a state following a canonical prefix that
-    names 1..w.  ``top`` is each relabeled row's largest value, at least
-    ``used``: for a proper row with used = 0, its count of distinct nonzero
-    values.
+    canonical when it equals its relabeling.  With used = 0 (proper) or -1
+    it is the canonical form of :func:`_orbit_index`; with used = w, that of
+    a state following a canonical prefix that names 1..w.  ``top`` is each
+    relabeled row's largest value, at least ``used``: for a proper row with
+    used = 0, its count of distinct nonzero values.
     """
     out = rows.copy()
     top = np.full(len(rows), used, dtype=rows.dtype)
@@ -305,6 +303,35 @@ def _first_appearance(rows: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarr
         top += fresh
         out[fresh, j] = top[fresh]
     return out, top
+
+
+def _orbit_index(states: np.ndarray, params: HanoiParams) -> np.ndarray:
+    """Each state's class: the rank of its canonical form under the mode's value renamings.
+
+    A mode renames the values 1..r of proper states (0 stays fixed) and all
+    of 0..r otherwise, each renaming an automorphism of its state graph
+    (Hinz et al., *The Tower of Hanoi -- Myths and Maths*, 2013).  The
+    canonical form names those values in order of first appearance, so a
+    state represents its orbit exactly when its class is its own rank.
+    """
+    canonical, _ = _first_appearance(states, 0 if params.proper else -1)
+    return encode_states(canonical, params)
+
+
+def _renamings(params: HanoiParams) -> list[np.ndarray]:
+    """Two value renamings that generate every renaming of the mode (see :func:`_orbit_index`).
+
+    With lo the smallest value renamed, they are (lo lo+1) and the cycle
+    lo -> lo+1 -> ... -> r -> lo; there are none for a single value.
+    """
+    lo = 1 if params.proper else 0
+    if params.r <= lo:
+        return []
+    swap = np.arange(params.r + 1)
+    swap[[lo, lo + 1]] = lo + 1, lo
+    cycle = np.arange(params.r + 1)
+    cycle[lo:] = np.roll(cycle[lo:], -1)
+    return [swap, cycle]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ path is whitespace-separated moves, e.g. ``a3 i a0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -60,25 +61,31 @@ def solve(a, b, params: HanoiParams) -> MovePath:
 
 
 def verify_path(path: MovePath, params: HanoiParams) -> State:
-    """Replay a path, returning the final state.
+    """Replay a path, returning the final state; only the current state is held.
 
     Raises :class:`IllegalMoveAt` naming the first illegal move (1-based), or
     an :class:`~dug.hanoi.InvalidState` error if the start itself is invalid.
     """
-    return path_states(path, params)[-1]
+    for state in _walk(path, params):
+        pass
+    return state
 
 
 def path_states(path: MovePath, params: HanoiParams) -> list[State]:
     """All states visited by a path, start included; validates every move."""
+    return list(_walk(path, params))
+
+
+def _walk(path: MovePath, params: HanoiParams) -> Iterator[State]:
+    """Yield the start, validated, then the state after each move, raising at the first illegal one."""
     state = make_state(path.start, params)
-    states = [state]
+    yield state
     for i, move in enumerate(path.moves, start=1):
         try:
             state = apply_move(state, move, params)
         except MoveError as exc:
             raise IllegalMoveAt(i, str(exc)) from exc
-        states.append(state)
-    return states
+        yield state
 
 
 def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:

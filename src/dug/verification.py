@@ -15,8 +15,10 @@ the 65 536 pairs of (4, 4).
 The move rules are certified once per orbit of states.  Each mode's move
 table is the builder's rank arithmetic (``hanoi._move_ranks``).  The builder
 row passes when the CSR equals the table, when the table's rows for the
-canonical states equal ``apply_move`` applied to them, and when the table
-commutes with two value renamings that generate every renaming of the mode.
+canonical states equal ``apply_move`` applied to them, when the table
+commutes with two value renamings that generate every renaming of the mode,
+and when the graph's class index, if it has one, is those renamings' orbit
+index (``hanoi._orbit_index``), through which the all-source rows read.
 The move rules commute with the same renamings, which a tier-1 test checks on
 random states, so the table equals the move rules on every state: 79
 ``apply_move`` calls at (4, 4), each ranked by the scalar ``state_index``.
@@ -54,6 +56,8 @@ from .hanoi import (
     TooLarge,
     _first_appearance,
     _move_ranks,
+    _orbit_index,
+    _renamings,
     _sorted_unique,
     _valid_rows,
     apply_move,
@@ -109,23 +113,6 @@ def _pair_orbits(states: np.ndarray, cap: int = DEFAULT_STATE_CAP):
 def _pairs_covered(r: int, distinct: np.ndarray) -> int:
     """Ordered pairs in the orbits of representatives with these distinct-value counts."""
     return sum(math.perm(r, m) * int(c) for m, c in enumerate(np.bincount(distinct)))
-
-
-def _renamings(params: HanoiParams) -> list[np.ndarray]:
-    """Two value renamings that generate every renaming of the mode's values.
-
-    The values are 1..r for proper states (0 stays fixed) and 0..r otherwise;
-    with lo the smallest, the renamings are (lo lo+1) and the cycle
-    lo -> lo+1 -> ... -> r -> lo; there are none for a single value.
-    """
-    lo = 1 if params.proper else 0
-    if params.r <= lo:
-        return []
-    swap = np.arange(params.r + 1)
-    swap[[lo, lo + 1]] = lo + 1, lo
-    cycle = np.arange(params.r + 1)
-    cycle[lo:] = np.roll(cycle[lo:], -1)
-    return [swap, cycle]
 
 
 def _is_equivariant(table: np.ndarray, states: np.ndarray, params: HanoiParams) -> bool:
@@ -236,8 +223,9 @@ def run_verify_suite(
         graphs[label] = g
         table = _move_ranks(states, params)
         n = len(states)
-        relabeled, _ = _first_appearance(states, 0 if params.proper else -1)
-        canonical = np.flatnonzero((relabeled == states).all(axis=1))
+        index = _orbit_index(states, params)
+        canonical = np.flatnonzero(index == np.arange(n))
+        indexed = g.classes is None or np.array_equal(g.classes, index)
         rules = np.array_equal(
             table[canonical], _move_table(list(map(tuple, states[canonical].tolist())), params)
         )
@@ -255,7 +243,8 @@ def run_verify_suite(
         inv = np.where(table[:, -1] < 0, np.arange(n), table[:, -1])
         involutive = involutive and np.array_equal(inv[inv], np.arange(n))
         results.append(CheckResult(
-            f"builder matches moves ({label})", built and rules and equivariant, f"n={g.n} m={g.m}"
+            f"builder matches moves ({label})", built and rules and equivariant and indexed,
+            f"n={g.n} m={g.m}"
         ))
         if params.proper:
             # The built edges are the table's, which the renamings carry onto itself.
@@ -359,7 +348,8 @@ def run_verify_suite(
         # Uniformity claim of the construction: at critical distance 2^k - 1
         # the achieved epsilon is at most k^2/r (vacuous when k^2/r >= 1).
         # It is read from the all-source table that distance_histograms keeps
-        # on gp, one row per class of gp.classes (per vertex without it).
+        # on gp, one row per class of the certified gp.classes (per vertex
+        # without it).
         report = best_uniformity(gp)
         eps_at_target = _epsilon_at(gp, target)
         claim = Fraction(k * k, r)

@@ -21,6 +21,7 @@ from dug import (
     TooLarge,
     TooSmallTarget,
     bfs_distances,
+    best_uniformity,
     blow_up,
     build_explicit,
     diameter,
@@ -223,6 +224,18 @@ class TestFromEdges:
         assert g.n == 4 and g.m == 0
         assert g.indptr.tolist() == [0] * 5 and g.indices.dtype == np.int32
 
+    @pytest.mark.parametrize("edges", [
+        np.array([(0.5, 1.7), (1.2, 2.9)]),
+        np.array([(0.0, 1.0)]),
+        np.array([(False, True)]),
+        [(0, 1), (1, 2.0)],
+    ], ids=["float", "integral-float", "bool", "mixed-list"])
+    def test_non_integer_endpoints_are_refused(self, edges):
+        # a cast to int would turn (0.5, 1.7), (1.2, 2.9) into the edges 0-1 and 1-2
+        dtype = np.asarray(edges).dtype
+        with pytest.raises(ValueError, match=f"^edge endpoints must be integers, got dtype {dtype}$"):
+            ExplicitGraph.from_edges(3, edges)
+
 
 class TestBuildExplicit:
     @pytest.mark.parametrize("proper", [False, True])
@@ -279,6 +292,21 @@ class TestBuildExplicit:
         built = []
         peak = traced_peak(lambda: built.append(iterate_truncation(2, 14)))
         assert peak <= 300 * built[0].graph.m
+
+    def test_class_index_cannot_be_assigned(self, tmp_path):
+        # One analysis of proper (4, 3) keeps its table of 5 orbit rows; were
+        # the index dropped after it, they would be read as 5 vertex rows.
+        params = HanoiParams(4, 3, proper=True)
+        g = build_explicit(params)
+        assert len(best_uniformity(g).per_vertex_offcount) == 64
+        f = tmp_path / "g.dug"
+        save_edge_list(g, f)
+        for graph in (g, load_edge_list(f), ExplicitGraph.from_edges(2, [(0, 1)]),
+                      blow_up(g, 70), iterate_truncation(4, 2).graph):
+            with pytest.raises(AttributeError):
+                graph.classes = None
+        fresh = best_uniformity(build_explicit(params)).per_vertex_offcount
+        assert best_uniformity(g).per_vertex_offcount == fresh and len(fresh) == 64
 
     def test_only_built_graphs_carry_a_class_index(self, tmp_path):
         g = build_explicit(HanoiParams(4, 3, proper=True))

@@ -20,7 +20,7 @@ from dug import (
 )
 from dug.solver import _construct_codes
 
-from conftest import move_adjacency, oracle_all_pairs, scalar_construct
+from conftest import alternating, move_adjacency, oracle_all_pairs, scalar_construct, traced_peak
 
 
 def test_solve_identity():
@@ -98,12 +98,22 @@ class TestVerifyPath:
 
     def test_illegal_move_index(self):
         p = HanoiParams(4, 2, proper=True)
-        with pytest.raises(IllegalMoveAt) as exc:
-            verify_path(MovePath((1, 0), (INVOLUTE,)), p)
-        assert exc.value.index == 1
-        with pytest.raises(IllegalMoveAt) as exc:
-            verify_path(MovePath((1, 2), (Adjust(3), Adjust(3))), p)
-        assert exc.value.index == 2
+        for replay in (verify_path, path_states):
+            with pytest.raises(IllegalMoveAt) as exc:
+                replay(MovePath((1, 0), (INVOLUTE,)), p)
+            assert exc.value.index == 1
+            with pytest.raises(IllegalMoveAt) as exc:
+                replay(MovePath((1, 2), (Adjust(3), Adjust(3))), p)
+            assert exc.value.index == 2
+
+    def test_holds_only_the_current_state(self):
+        # A disjoint pair at k = 16: path_states keeps all 65 536 states (12 MB traced).
+        p = HanoiParams(3, 16)
+        path = solve(alternating(1, 2, 16), alternating(3, 0, 16), p)
+        final = []
+        assert traced_peak(lambda: final.append(verify_path(path, p))) < 1 << 20
+        assert len(path) == 2**16 - 1
+        assert final == path_states(path, p)[-1:] == [alternating(3, 0, 16)]
 
     def test_invalid_start(self):
         from dug import InvalidState

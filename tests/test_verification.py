@@ -32,7 +32,14 @@ from dug import (
     legal_moves,
 )
 from dug.cli import cli_dispatch
-from dug.hanoi import _first_appearance, _move_ranks, apply_move, state_index, state_matrix
+from dug.hanoi import (
+    _first_appearance,
+    _move_ranks,
+    _orbit_index,
+    apply_move,
+    state_index,
+    state_matrix,
+)
 from dug.solver import _construct_codes, _replay_codes
 from dug.verification import (
     CheckResult,
@@ -759,14 +766,48 @@ def test_suite_needs_no_class_index(monkeypatch, capsys, r, k):
 
     def unindexed(params, cap=DEFAULT_STATE_CAP):
         g = real(params, cap)
-        g.classes = None
-        return g
+        return ExplicitGraph(g.n, g.indptr, g.indices, g.labels)
 
     monkeypatch.setattr(dug.verification, "build_explicit", unindexed)
     results = run_verify_suite(r, k)
     assert [c for c in results if not c.ok] == []
     assert cli_dispatch(argv) == 0
     assert capsys.readouterr().out == indexed
+
+
+def wrong_indices(params):
+    """Class indices of ``params``' graph that are wrong in three ways, by name."""
+    states = state_matrix(params)
+    index = _orbit_index(states, params)
+    one_off = index.copy()
+    one_off[-1] = index[index != index[-1]][0]  # another orbit's representative
+    return {
+        "zeros": np.zeros_like(index),
+        "other mode": _orbit_index(states, HanoiParams(params.r, params.k, not params.proper)),
+        "one vertex": one_off,
+    }
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+@pytest.mark.parametrize("r,k", [(3, 3), (4, 3), (4, 4)])
+def test_builder_row_certifies_the_class_index(monkeypatch, capsys, r, k, proper):
+    """A graph whose class index is not the orbit index fails its builder row."""
+    real = dug.verification.build_explicit
+    label = "proper" if proper else "improper"
+    for name, wrong in wrong_indices(HanoiParams(r, k, proper)).items():
+        def misindexed(params, cap=DEFAULT_STATE_CAP):
+            g = real(params, cap)
+            if params.proper != proper:
+                return g
+            assert not np.array_equal(wrong, g.classes), name
+            return ExplicitGraph(g.n, g.indptr, g.indices, g.labels, wrong)
+
+        monkeypatch.setattr(dug.verification, "build_explicit", misindexed)
+        rows = {c.name: c.ok for c in run_verify_suite(r, k)}
+        assert not rows[f"builder matches moves ({label})"], name
+        assert rows[f"builder matches moves ({'improper' if proper else 'proper'})"], name
+        assert cli_dispatch(["verify", "--r", str(r), "--k", str(k)]) == 1, name
+        assert f"[FAIL] builder matches moves ({label})" in capsys.readouterr().out
 
 
 def test_suite_sweeps_the_proper_graph_twice(monkeypatch, capsys):

@@ -77,7 +77,9 @@ class ExplicitGraph:
     representative, where the vertices of one class provably have equal
     distance histograms.  Only :func:`build_explicit` passes it, when it
     makes the graph; it is read-only and cannot be assigned, so the kept
-    table is always read through the index it was built from.  Equality
+    table is always read through the index it was built from.  The
+    constructor refuses, with ValueError, an index that is not a 1-D integer
+    array of n vertex ids; only ``dug verify`` certifies its classes.  Equality
     ignores it.  It only makes the all-source table smaller: a graph without
     it gets one row per vertex and the same analyses, and no caller that
     names its sources depends on it.
@@ -96,22 +98,29 @@ class ExplicitGraph:
         indptr.setflags(write=False)
         indices.setflags(write=False)
         if classes is not None:
+            if not (isinstance(classes, np.ndarray) and classes.dtype.kind in "iu"
+                    and classes.shape == (n,)):
+                raise ValueError(f"classes must be a 1-D integer array of {n} entries, "
+                                 f"got {np.asarray(classes).dtype} of shape {np.shape(classes)}")
+            if n and (classes.min() < 0 or classes.max() >= n):
+                raise ValueError(f"classes must name vertices in 0..{n - 1}")
             classes.setflags(write=False)
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "ExplicitGraph":
         """Build and validate a graph from an iterable (or array) of (u, v) pairs.
 
-        It serves edge lists, from the file loader and from tests; the
-        builders (Hanoi graphs, blow-ups, truncations) write their CSR
-        directly.  An integer array is read as it is, with no widening copy,
-        and never written to; a non-empty input of any other dtype (float,
-        bool, object) raises ValueError, and an empty one of any dtype gives
-        the edgeless graph.  The sort keys, one per adjacency entry, are
-        uint32 up to n = 2^16 and then become the int32 indices in place;
-        above that they are int64.  Besides them and the result, assembly
-        holds one block of row bounds, duplicate flags or row bases, so a
-        large n with few edges costs little more than its indptr.
+        It serves tests and library callers; the file loader builds its
+        graphs through :meth:`_from_keys`, and the builders (Hanoi graphs,
+        blow-ups, truncations) write their CSR directly.  An integer array is
+        read as it is, with no widening copy, and never written to; a
+        non-empty input of any other dtype (float, bool, object) raises
+        ValueError, and an empty one of any dtype gives the edgeless graph.
+        The sort keys, one per adjacency entry, are uint32 up to n = 2^16 and
+        then become the int32 indices in place; above that they are int64.
+        Besides them and the result, assembly holds one block of row bounds,
+        duplicate flags or row bases, so a large n with few edges costs
+        little more than its indptr.
         """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
@@ -516,13 +525,11 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
         raise TooSmallTarget(f"target {n_target} below vertex count {g.n}")
     q, rem = divmod(n_target, g.n)
     # v's neighbours below rem: as g is symmetric, its entries in those rows.
-    low, below = np.zeros(g.n, dtype=np.int64), g.indices[:g.indptr[rem]]
-    for a in range(0, below.size, _EDGE_CHUNK):
-        np.add.at(low, below[a:a + _EDGE_CHUNK], 1)
-    # Edges with both, one or none of their ends among the rem vertices with q + 1 copies.
-    both = int(low[:rem].sum()) // 2
-    one = int(g.indptr[rem]) - 2 * both
-    m_out = both * (q + 1) ** 2 + one * q * (q + 1) + (g.m - both - one) * q * q
+    low = np.bincount(g.indices[:g.indptr[rem]], minlength=g.n)
+    # An edge gains q * q copies, q more per end below rem, and one more when
+    # both ends are: the entries of the rows below rem count the ends, and
+    # low[:rem] counts the edges with both ends there twice.
+    m_out = q * q * g.m + q * int(g.indptr[rem]) + int(low[:rem].sum()) // 2
     if max(n_target, m_out) > DEFAULT_STATE_CAP:
         raise TooLarge(f"blow-up to {n_target} vertices would have {m_out} edges; "
                        f"vertices and edges are capped at {DEFAULT_STATE_CAP}")
@@ -644,16 +651,16 @@ def load_edge_list(path) -> ExplicitGraph:
     :class:`TooLarge` when it declares more than DEFAULT_STATE_CAP vertices.
 
     The run of canonical lines 'e <u> <v>\\n' that ends a file, from its first
-    line that begins 'e ', is read in bulk (see :func:`_canonical_edges`); the
-    lines before it go through the line parser.  When that run holds any other
-    line, or the file has any fault, the whole file is parsed line by line, so
+    line that begins 'e ', is read in bulk (see :func:`_canonical_edges`) when
+    it holds exactly the edge count the header declares; the lines before it
+    go through the line parser.  When that run holds any other line or count,
+    or the file has any fault, the whole file is parsed line by line, so
     errors and their line numbers come from one parser.
 
     A file, unlike a pipe, is never held whole: the head before that run is
-    kept, and the run is streamed into an int32 buffer sized by the header's
-    edge count.  When the run holds every edge, the buffer becomes the sort
-    keys and then the CSR indices in place, so loading holds little beyond
-    its result.
+    kept, and the run is streamed into an int32 buffer of the header's edge
+    count, which becomes the sort keys and then the CSR indices in place, so
+    loading holds little beyond its result.
     """
     with open(path, "rb") as raw:
         # A pipe is held whole, as the line parser may need to read it again.
@@ -667,7 +674,7 @@ def load_edge_list(path) -> ExplicitGraph:
         if split:
             del head[split:]
             fh.seek(split)
-            # Only a size hint: the line parser checks the header.
+            # The count the run must hold; the line parser checks the header.
             declared = re.search(rb"^\s*dug\s+\S+\s+\S+\s+(\d{1,18})\s*$", head, re.M)
             tail = _canonical_edges(fh, size - split, int(declared[1]) if declared else 0)
             if tail is not None:
@@ -697,10 +704,13 @@ _TOP_BITS = np.uint64(0x8080808080808080)
 
 
 def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
-    """(k, 2) int32 endpoints of the lines 'e <u> <v>' that fill the rest of fh, or None if any differs.
+    """(m, 2) int32 endpoints of the m lines 'e <u> <v>' that fill the rest of fh, or None.
 
     fh is a binary file at the first of those lines, size the bytes left,
-    and m the edge count the header declares (0 if unread).  Each line must
+    and m the edge count the header declares (0 if unread).  None, before
+    anything is read, when the run cannot hold m lines (a line has at least
+    6 bytes), and else as soon as a line differs or the run holds more or
+    fewer than m lines; the line parser then reports the fault.  Each line must
     be 'e', a space, a run of 1 to _MAX_DIGITS ASCII digits, a space, another
     such run and '\\n', with u < v.  The file is read into one buffer,
     _READ_CHUNK bytes at a time (at most size + 1), and the whole lines of
@@ -711,11 +721,8 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
     column (see :func:`_fixed_width_words`); any other read is split at its
     separators (see :func:`_separated_words`).  Either way its u tokens, then
     its v tokens, are decoded together into the read's columns of one
-    (2, m) array, whose transpose is returned.  m is capped at size // 6,
-    since a line has at least 6 bytes, and the array grows if the file holds
-    more lines (the line parser then reports the count).  When it holds
-    exactly m, the array's two rows, every u and then every v, are the
-    layout of the keys of ExplicitGraph._from_keys.
+    (2, m) array, whose transpose is returned: its two rows, every u and
+    then every v, are the layout of the keys of ExplicitGraph._from_keys.
 
     A token is decoded with the SWAR digit trick (Langdale & Lemire, *Parsing
     gigabytes of JSON per second*, VLDB J. 2019): one little-endian 8-byte
@@ -723,7 +730,9 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
     before the token masked off, then three multiply-shift-mask steps that
     join digits pairwise into 2-, 4- and 8-digit values.
     """
-    edges = np.empty((2, min(m, size // 6)), dtype=np.int32)
+    if not 0 < 6 * m <= size:
+        return None
+    edges = np.empty((2, m), dtype=np.int32)
     # buf[:8] holds the bytes before the read, which the first token's load
     # reads and masks off; buf[8:end] the read and the next partial line, of
     # at most 2 * _MAX_DIGITS + 3 bytes.  words[i] is the uint64 of buf[i:i + 8].
@@ -752,15 +761,13 @@ def _canonical_edges(fh, size: int, m: int) -> np.ndarray | None:
         x *= np.uint64(10000 << 32 | 1)
         x >>= np.uint64(32)
         k = x.shape[1]
-        if not (x[0] < x[1]).all():
+        if row + k > m or not (x[0] < x[1]).all():
             return None
-        if row + k > edges.shape[1]:  # more lines than the header declares
-            edges = np.concatenate([edges[:, :row], np.empty((2, row + k), np.int32)], axis=1)
         edges[:, row:row + k] = x
         row += k
         end -= stop - 8
         data[:end] = data[stop - 8:stop - 8 + end]
-    return None if end > 8 else edges[:, :row].T
+    return None if end > 8 or row < m else edges.T
 
 
 def _fixed_width_words(buf: bytearray, data: np.ndarray, stop: int) -> np.ndarray | None:
@@ -834,10 +841,12 @@ def _separated_words(data: np.ndarray, words: np.ndarray, sep: np.ndarray,
 def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> ExplicitGraph:
     """Line-by-line parser for any valid file; the only source of parse errors.
 
-    ``tail`` holds the (m, 2) edges of lines that follow ``lines`` in the file,
-    already read in bulk; they are counted and checked with the others.  When
-    they are all the edges, the graph is built in tail's buffer, which is
-    then no longer the edges.
+    ``tail`` holds the (m, 2) edges of the lines that follow ``lines`` in the
+    file, already read in bulk: exactly the m edges the header declares, so
+    the count refuses any edge in ``lines``.  Every graph is built by
+    ExplicitGraph._from_keys from one (2, m) array of keys, every u and then
+    every v: tail's own buffer, which is then no longer the edges, or the
+    parsed edges.
     """
     header = None
     edges: list[tuple[int, int]] = []
@@ -908,11 +917,9 @@ def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> Explic
     if header is None:
         raise InconsistentHeader("empty file: no header found")
     n, m = header
-    edge_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    if tail is not None:
-        edge_arr = np.concatenate([edge_arr, tail]) if edges else tail
-    if len(edge_arr) != m:
-        raise InconsistentHeader(f"header declares {m} edges, file has {len(edge_arr)}")
+    count = len(edges) if tail is None else len(edges) + len(tail)
+    if count != m:
+        raise InconsistentHeader(f"header declares {m} edges, file has {count}")
     labels = None
     if label_map:
         if len(label_map) != n:
@@ -920,10 +927,10 @@ def _parse_lines(lines: Iterable[str], tail: np.ndarray | None = None) -> Explic
                 f"labels must cover all {n} vertices, found {len(label_map)}"
             )
         labels = tuple(label_map[v] for v in range(n))
-    if edge_arr is tail and n * n <= 1 << 32 and tail.T.flags.c_contiguous:
-        # u < v on every bulk line, so the rows of the bulk reader's (2, m)
-        # buffer, every u and then every v, are the uint32 keys' lo and hi.
-        if tail.T[1].max() >= n:
-            raise BadVertex(f"edge endpoint outside 0..{n - 1}")
-        return ExplicitGraph._from_keys(n, tail.T.reshape(-1).view(np.uint32), labels)
-    return ExplicitGraph.from_edges(n, edge_arr, labels)
+    # u < v on every line, so the two rows are the keys' lo and hi.
+    key = (np.array(edges, dtype=np.int32).reshape(-1, 2) if tail is None else tail).T
+    if m and key[1].max() >= n:
+        raise BadVertex(f"edge endpoint outside 0..{n - 1}")
+    key = key.reshape(-1)
+    key = key.view(np.uint32) if n * n <= 1 << 32 else key.astype(np.int64)
+    return ExplicitGraph._from_keys(n, key, labels)

@@ -25,19 +25,30 @@ from dug.cli import cli_dispatch
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
 
-# Files the bad-input calls read: a malformed line, an edge count the body
-# does not hold, and a vertex count past the 2^26 cap.
+# Files each analyzed in turn.  The first three are bad: a malformed line, an
+# edge count the body does not hold, and a vertex count past the 2^26 cap.
+# The rest take the loader's other routes: a labeled head with comments, blank
+# lines, CRLF and labels out of order before a canonical run; an edge line
+# before the run; a run one edge longer than the header; and a count the line
+# parser reads but the header's pre-read does not.
 INPUTS = {
     "bad-line.dug": "dug 1 3 2\ne 0 1\ne 1 x\n",
     "bad-count.dug": "dug 1 3 2\ne 0 1\n",
     "bad-cap.dug": "dug 1 67108865 0\n",
+    "labeled-head.dug": "# made by hand\r\n\r\ndug 1 3 2\r\n# labels\r\nl 2 c\r\nl 0 a\r\n\r\n"
+                        "l 1 b\r\ne 0 1\ne 1 2\n",
+    "edge-before-run.dug": "dug 1 3 2\n\te 0 2\ne 1 2\n",
+    "run-too-long.dug": "dug 1 3 1\ne 0 1\ne 1 2\n",
+    "plus-count.dug": "dug 1 3 +2\ne 0 1\ne 1 2\n",
 }
 
-VERIFY = [(1, 1), (2, 1), (3, 3), (4, 3), (4, 4), (5, 3)]
+VERIFY = [(1, 1), (2, 1), (3, 3), (4, 3), (4, 4), (5, 3), (8, 4)]
 CASES = (
     [["verify", "--r", str(r), "--k", str(k), *json_flag]
      for r, k in VERIFY for json_flag in ([], ["--json"])]
-    + [["verify", "--r", "4", "--k", "3", "--sample-pairs", "10"]]
+    + [["verify", "--r", "4", "--k", "3", "--sample-pairs", "10"],
+       ["verify", "--r", "8", "--k", "4", "--sample-pairs", "50"],
+       ["verify", "--r", "6", "--k", "5"]]
     + [["plan", "--n", str(n), "--epsilon", eps, *json_flag]
        for n in (16, 5000, 65536) for eps in ("1/2", "1/16") for json_flag in ([], ["--json"])]
     + [["generate", "--r", "4", "--k", "2", "--proper", "--out", "p42.dug"],
@@ -68,7 +79,7 @@ def run(argv: list[str]) -> dict:
 
 def write_inputs() -> None:
     for name, text in INPUTS.items():
-        Path(name).write_text(text)
+        Path(name).write_bytes(text.encode())
 
 
 def main() -> int:

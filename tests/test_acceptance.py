@@ -12,8 +12,10 @@ import pytest
 
 from dug import (
     INVOLUTE,
+    Adjust,
     HanoiParams,
     IllegalInvolute,
+    MovePath,
     apply_move,
     best_uniformity,
     bfs_distances,
@@ -36,7 +38,9 @@ from dug import (
     verify_path,
 )
 
-from conftest import move_adjacency, oracle_all_pairs
+from dug.solver import _construct_codes
+
+from conftest import move_adjacency, oracle_all_pairs, scalar_construct
 
 CORPUS = [(4, 2), (5, 2), (8, 2), (5, 3), (6, 3), (5, 4)]
 UNIFORMITY_CORPUS = CORPUS + [(16, 3)]
@@ -87,21 +91,33 @@ def test_criterion_1_disjoint_support_exactness(oracle_corpus):
 
 
 def test_criterion_2_solver_bound_and_oracle_floor(oracle_corpus):
+    """Every pair's solver path, from one construction per source over all
+    its targets; solve itself is compared with it on every pair of the shapes
+    with at most 64 states, and from the first 16 sources of the others."""
     t0 = time.perf_counter()
-    pair_count = 0
+    pair_count = solved = 0
     for (r, k), (states, dist, _) in oracle_corpus.items():
         params = HanoiParams(r, k, proper=True)
         target = 2**k - 1
-        for a in states:
+        moves = [Adjust(c) for c in range(r + 1)] + [INVOLUTE]  # code r + 1 is the involution
+        goals = np.array(states)
+        for i, a in enumerate(states):
             da = dist[a]
-            for b in states:
-                path = solve(a, b, params)
+            offsets, codes = _construct_codes(np.broadcast_to(goals[i], goals.shape), goals, r)
+            offsets, codes = offsets.tolist(), codes.tolist()
+            for j, b in enumerate(states):
+                path = MovePath(a, tuple(moves[c] for c in codes[offsets[j]:offsets[j + 1]]))
+                assert path.moves == scalar_construct(a, b)
+                if len(states) <= 64 or i < 16:
+                    assert solve(a, b, params) == path
+                    solved += 1
                 assert len(path) <= target
                 assert len(path) >= da[b]
                 visited = path_states(path, params)  # validates every move
                 assert visited[-1] == b
                 assert all(s[0] in (a[0], b[0]) for s in visited)
                 pair_count += 1
+    assert (pair_count, solved) == (457_883, 20_433)
     _line(2, f"solver bound/oracle floor/aux condition on {pair_count} pairs",
           time.perf_counter() - t0)
 

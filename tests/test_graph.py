@@ -69,10 +69,16 @@ def edge_block(data: bytes) -> bytes:
 
 
 def bulk_edges(data: bytes):
-    """What the bulk reader makes of the edge block of the file bytes data."""
+    """What the bulk reader makes of the edge block of the file bytes data,
+    given the edge count of its header (0 if that is not ASCII digits)."""
     split = data.find(b"\ne ") + 1
+    if not split:
+        return None
+    header = next(line.split() for line in data.splitlines()
+                  if line.strip() and not line.startswith(b"#"))
+    m = int(header[3]) if len(header) == 4 and header[3].isdigit() else 0
     block = data[split:]
-    return _canonical_edges(io.BytesIO(block), len(block), len(block)) if split else None
+    return _canonical_edges(io.BytesIO(block), len(block), m)
 
 
 @st.composite
@@ -323,6 +329,26 @@ class TestBuildExplicit:
         assert iterate_truncation(4, 3).graph.classes is None
         # K_{r+1} is the Hanoi graph at k = 1: one orbit under every relabeling
         assert iterate_truncation(4, 1).graph.classes.tolist() == [0] * 5
+
+    @pytest.mark.parametrize(
+        "classes,problem",
+        [
+            (np.array([0, 1, 4, 5, 6]), "1-D integer array of 64 entries"),
+            (np.zeros(64), "1-D integer array of 64 entries"),
+            (np.zeros((64, 1), dtype=np.int64), "1-D integer array of 64 entries"),
+            (np.full(64, 64), "vertices in 0..63"),
+            (np.full(64, -1), "vertices in 0..63"),
+        ],
+        ids=["five entries", "float", "two-dimensional", "entry n", "negative"],
+    )
+    def test_class_index_must_name_each_vertex_a_vertex(self, classes, problem):
+        # Five entries once gave 5 offcounts and epsilon 9/16 at d = 7 for proper (4, 3).
+        g = build_explicit(HanoiParams(4, 3, proper=True))
+        with pytest.raises(ValueError, match=problem):
+            ExplicitGraph(g.n, g.indptr, g.indices, g.labels, classes)
+        # An index in range need not be closed: only dug verify certifies one.
+        other = ExplicitGraph(g.n, g.indptr, g.indices, g.labels, g.classes[::-1].copy())
+        assert other == g
 
 
 class TestBFS:
@@ -772,6 +798,7 @@ def load_traced(f):
         "dug 1 2 1\nl 0 a\nl 1 b\ne 0 1",           # no final newline
         "dug 1 3 x\n",
         "dug 1 " + "1" * 5000 + " 0\n",             # count too long for int()
+        "dug 1 3 2\n\te 0 2\ne 1 2\n",              # an edge line before the run
     ],
 )
 def test_bulk_parser_defers_on_near_canonical_files(tmp_path, body):
@@ -808,7 +835,6 @@ def test_line_parser_takes_unicode_digits_and_spaces(tmp_path, body):
         "# made by hand\r\n\r\ndug 1 3 2\r\n# labels\r\nl 2 c\r\nl 0 a\r\n\r\nl 1 b\r\n"
         "e 0 1\ne 1 2\n",
         "dug 1 2 1\nl 0 a \nl 1 b\ne 0 1\n",        # trailing space after a label
-        "dug 1 3 2\n\te 0 2\ne 1 2\n",              # an edge line read by the line parser
     ],
 )
 def test_bulk_parser_reads_edges_after_any_head(tmp_path, body):
@@ -834,7 +860,38 @@ def test_errors_after_bulk_read_match_line_parser(tmp_path, body, want):
     f.write_bytes(body.encode())
     got, tails = load_traced(f)
     assert got == line_parser_outcome(f) == want
-    assert len(tails) == 2 and tails[0] is not None and tails[1] is None
+    # The bulk reader declines a run that does not hold exactly the header's count.
+    if body.count("\ne ") == int(body.split()[3]):
+        assert len(tails) == 2 and tails[0] is not None and tails[1] is None
+    else:
+        assert tails == [None]
+
+
+@pytest.mark.parametrize(
+    "body,bulk,dtype",
+    [
+        ("dug 1 4 3\ne 0 1\ne 1 2\ne 2 3\n", True, np.uint32),
+        ("dug 1 3 1\nl 0 a\nl 1 b\nl 2 c\ne 0 2\n", True, np.uint32),
+        ("dug 1 4 3\ne 0 1\r\ne 1 2\ne 2 3\n", False, np.uint32),
+        ("dug 1 3 0\n", False, np.uint32),
+        ("dug 1 70000 2\ne 5 6\ne 0 69999\n", True, np.int64),
+        ("dug 1 70000 2\ne 5 6\r\ne 0 69999\n", False, np.int64),
+    ],
+)
+def test_every_load_builds_through_from_keys(tmp_path, body, bulk, dtype):
+    """Bulk-read or line-parsed, a loaded graph is built by one _from_keys
+    call, on uint32 keys up to n = 2^16 and int64 keys above."""
+    f = tmp_path / "g.dug"
+    f.write_bytes(body.encode())
+    with mock.patch.object(ExplicitGraph, "from_edges",
+                           wraps=ExplicitGraph.from_edges) as from_edges, \
+            mock.patch.object(ExplicitGraph, "_from_keys",
+                              wraps=ExplicitGraph._from_keys) as from_keys:
+        got, tails = load_traced(f)
+    assert isinstance(got, ExplicitGraph) and got == line_parser_outcome(f)
+    assert len(tails) == 1 and (tails[0] is not None) == bulk
+    assert from_edges.call_count == 0 and from_keys.call_count == 1
+    assert from_keys.call_args.args[1].dtype == dtype
 
 
 @settings(max_examples=300)
@@ -843,19 +900,32 @@ def test_errors_after_bulk_read_match_line_parser(tmp_path, body, want):
 def test_bulk_parser_matches_line_parser(g, mutation, data, chunk):
     """Reads of a few bytes split lines, tokens and the head from the edges."""
     text = mutate(g, mutation, data.draw)
+    counts = []  # the edge count the bulk reader was given, as read from the header
+    canonical_edges = dug.graph._canonical_edges
+
+    def spy(fh, size, m):
+        counts.append(m)
+        return canonical_edges(fh, size, m)
+
     with tempfile.TemporaryDirectory() as tmp:
         f = Path(tmp) / "g.dug"
         f.write_bytes(text.encode())
-        with mock.patch("dug.graph._READ_CHUNK", chunk):
+        with mock.patch("dug.graph._READ_CHUNK", chunk), \
+                mock.patch("dug.graph._canonical_edges", spy):
             got, tails = load_traced(f)
         assert got == line_parser_outcome(f)
     if mutation == "none":
         assert got == g
+        assert counts == ([g.m] if g.m else [])
     block = "".join(f"e {u} {v}\n" for u, v in reference_edges(g)).encode()
     if g.m and edge_block(text.encode()) == block:
-        # Every line the mutation touched lies before the first edge line.
-        assert np.array_equal(tails[0], g.edge_array())
-        assert len(tails) == (1 if isinstance(got, ExplicitGraph) else 2)
+        # Every line the mutation touched lies before the first edge line, so
+        # the run is handed over exactly when the header's count reads g.m.
+        if counts == [g.m]:
+            assert np.array_equal(tails[0], g.edge_array())
+            assert len(tails) == (1 if isinstance(got, ExplicitGraph) else 2)
+        else:
+            assert len(tails) == 1 and tails[0] is None
 
 
 LAST_LINE_FAULTS = ["none", "duplicate", "u >= v", "out of range", "letter", "tab", "record",

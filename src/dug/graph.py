@@ -169,11 +169,6 @@ class ExplicitGraph:
         hi *= kt(max(n - 1, 0))
         hi += lo
         key.sort()
-        equal = np.empty(min(_EDGE_CHUNK, key.size), dtype=bool)
-        for a in range(0, key.size - 1, _EDGE_CHUNK):  # the blocks overlap by one key
-            b = min(a + _EDGE_CHUNK, key.size - 1)
-            if np.equal(key[a + 1:b + 1], key[a:b], out=equal[:b - a]).any():
-                raise ValueError("duplicate edge in edge list")
         # Row w's entries are the keys in [w * n, (w + 1) * n).  The bounds are
         # searched as kt, which n * n itself may overflow, so no key is widened,
         # one block of rows at a time, so nothing else is n-sized.
@@ -182,10 +177,13 @@ class ExplicitGraph:
             bounds = np.arange(w, min(w + _EDGE_CHUNK, n), dtype=kt)
             indptr[w:w + bounds.size] = np.searchsorted(key, bounds * kt(n))
         indptr[n] = 2 * m
-        # A key less its row * n is its column; the row bases go a run of rows at a time.
+        # A key less its row * n is its column; the row bases go a run of rows at a
+        # time.  No run splits a row, so a duplicate edge meets its twin in one.
         for lo, hi in _row_runs(indptr, _EDGE_CHUNK):
-            rows = np.arange(lo, hi, dtype=kt) * kt(n)
-            key[indptr[lo]:indptr[hi]] -= np.repeat(rows, np.diff(indptr[lo:hi + 1]))
+            run = key[indptr[lo]:indptr[hi]]
+            if (run[1:] == run[:-1]).any():
+                raise ValueError("duplicate edge in edge list")
+            run -= np.repeat(np.arange(lo, hi, dtype=kt) * kt(n), np.diff(indptr[lo:hi + 1]))
         indices = key.view(np.int32) if kt is np.uint32 else key.astype(np.int32)
         return cls(n, indptr, indices, labels)
 

@@ -15,10 +15,14 @@ states forbids any move that would zero the first entry.
 
 States are plain tuples of ints.  Positions are 1-based in documentation and
 error messages (position 1 is the first entry); storage is 0-based.
+
+A mode's value renamings live here alone: ``_fixed`` names the values they
+keep, ``_orbit_index`` their orbits of states, ``_pair_orbits`` of state pairs.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -286,8 +290,8 @@ def _first_appearance(rows: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarr
 
     The values 0..used keep their names; the others become used + 1,
     used + 2, ... in the order they first appear in the row.  A row is
-    canonical when it equals its relabeling.  With used = 0 (proper) or -1
-    it is the canonical form of :func:`_orbit_index`; with used = w, that of
+    canonical when it equals its relabeling.  With used = :func:`_fixed` it
+    is the canonical form of :func:`_orbit_index`; with used = w, that of
     a state following a canonical prefix that names 1..w.  ``top`` is each
     relabeled row's largest value, at least ``used``: for a proper row with
     used = 0, its count of distinct nonzero values.
@@ -305,6 +309,11 @@ def _first_appearance(rows: np.ndarray, used: int) -> tuple[np.ndarray, np.ndarr
     return out, top
 
 
+def _fixed(params: HanoiParams) -> int:
+    """The largest value the mode's renamings keep: 0 proper, -1 (none) otherwise."""
+    return 0 if params.proper else -1
+
+
 def _orbit_index(states: np.ndarray, params: HanoiParams) -> np.ndarray:
     """Each state's class: the rank of its canonical form under the mode's value renamings.
 
@@ -314,17 +323,17 @@ def _orbit_index(states: np.ndarray, params: HanoiParams) -> np.ndarray:
     canonical form names those values in order of first appearance, so a
     state represents its orbit exactly when its class is its own rank.
     """
-    canonical, _ = _first_appearance(states, 0 if params.proper else -1)
+    canonical, _ = _first_appearance(states, _fixed(params))
     return encode_states(canonical, params)
 
 
 def _renamings(params: HanoiParams) -> list[np.ndarray]:
-    """Two value renamings that generate every renaming of the mode (see :func:`_orbit_index`).
+    """Two value renamings that generate every renaming of the mode (see :func:`_fixed`).
 
     With lo the smallest value renamed, they are (lo lo+1) and the cycle
     lo -> lo+1 -> ... -> r -> lo; there are none for a single value.
     """
-    lo = 1 if params.proper else 0
+    lo = _fixed(params) + 1
     if params.r <= lo:
         return []
     swap = np.arange(params.r + 1)
@@ -332,6 +341,36 @@ def _renamings(params: HanoiParams) -> list[np.ndarray]:
     cycle = np.arange(params.r + 1)
     cycle[lo:] = np.roll(cycle[lo:], -1)
     return [swap, cycle]
+
+
+def _pair_orbits(states: np.ndarray, index: np.ndarray, params: HanoiParams,
+                 cap: int = DEFAULT_STATE_CAP):
+    """One ordered pair per orbit of the mode's value renamings, and the orbit's size.
+
+    ``index`` is the :func:`_orbit_index` of the :func:`state_matrix` ``states``.
+    (a, b) represents its orbit when a + b names the renamed values in order of
+    first appearance.  Returns the canonical states (``sources``) and, for the
+    representatives sorted by (a, b), the position of a in ``sources``, the
+    vertex b and the orbit's size.  Raises :class:`TooLarge` when there are
+    more than ``cap`` representatives, counted before any is listed.
+    """
+    fixed = _fixed(params)
+    sources = np.flatnonzero(index == np.arange(len(index)))
+    # A canonical state names fixed + 1..w, so w is its largest value, or fixed.
+    used = states[sources].max(axis=1, initial=fixed).tolist()
+    seconds = {}  # w: the b that follow a source naming w, and their orbit sizes
+    for w in set(used):
+        relabeled, top = _first_appearance(states, w)
+        b = np.flatnonzero((relabeled == states).all(axis=1))
+        # a + b uses m - fixed of the r - fixed renamed values, each image one pair.
+        size = [math.perm(params.r - fixed, m - fixed) for m in range(int(top[b].max()) + 1)]
+        seconds[w] = b, np.array(size, dtype=np.int64)[top[b]]
+    count = sum(seconds[w][0].size for w in used)
+    if count > cap:
+        raise TooLarge(f"{count} state-pair orbits exceed the cap of {cap}")
+    pair_b, sizes = (np.concatenate([seconds[w][i] for w in used]) for i in (0, 1))
+    pair_a = np.repeat(np.arange(sources.size), [seconds[w][0].size for w in used])
+    return sources, pair_a, pair_b, sizes
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

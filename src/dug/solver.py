@@ -18,15 +18,21 @@ from typing import Iterator
 import numpy as np
 
 from .hanoi import (
+    DEFAULT_STATE_CAP,
     INVOLUTE,
     Adjust,
     HanoiParams,
     Move,
     MoveError,
     State,
+    TooLarge,
     apply_move,
     make_state,
 )
+
+
+# Moves one call may build: ``dug solve`` holds about 90 B a move until it prints.
+_MOVE_BUDGET = DEFAULT_STATE_CAP >> 6
 
 
 class IllegalMoveAt(ValueError):
@@ -94,7 +100,8 @@ def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, 
     Returns ``(offsets, codes)``: row i's moves, in order, are
     ``codes[offsets[i]:offsets[i + 1]]``, c for the adjustment to c and r + 1
     for the involution.  Work, memory and indices follow the moves, not the
-    2^k - 1 nodes of a full recursion tree.
+    2^k - 1 nodes of a full recursion tree.  Raises :class:`TooLarge` before
+    the codes are allocated when they would exceed ``_MOVE_BUDGET`` moves.
     """
     # Recursion from the 2^k - 1 upper-bound proof.  Moves carry no positions,
     # so a path for the tails replays verbatim on the full states: tail
@@ -125,6 +132,8 @@ def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, 
         levels.append((move, kept_left, kept_right))
         starts = np.concatenate([starts[kept_left], right[kept_right]])
         goals = np.concatenate([left[kept_left], goals[kept_right]])
+        if starts.size > _MOVE_BUDGET:  # each sub-problem kept makes a move at least
+            raise TooLarge(f"solver paths need more than {_MOVE_BUDGET} moves")
     # Up: the moves under each sub-problem and its left child.  Down again: a
     # sub-problem whose moves start at o has its involution at o + (its left
     # child's moves), and its right child starts one past that.
@@ -137,6 +146,8 @@ def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, 
         size = left + right + move
         lefts.append(left)
     offsets = np.concatenate([[0], np.cumsum(size)])
+    if offsets[-1] > _MOVE_BUDGET:
+        raise TooLarge(f"solver paths need more than {_MOVE_BUDGET} moves")
     codes = np.empty(offsets[-1], dtype=np.min_scalar_type(r + 1))
     at = offsets[:-1]
     for (move, kept_left, kept_right), left in zip(levels, reversed(lefts)):

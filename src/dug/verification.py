@@ -10,7 +10,8 @@ an automorphism of the proper Hanoi graph, which the suite itself checks, and
 the solver commutes with it (Hinz et al., *The Tower of Hanoi -- Myths and
 Maths*, 2013).  So each check gives one verdict on a whole orbit of ordered
 state pairs, and the suite replays one representative per orbit: 2 795 for
-the 65 536 pairs of (4, 4).
+the 65 536 pairs of (4, 4).  Both kinds of orbit, and the sizes every coverage
+figure sums, come from ``hanoi._orbit_index`` and ``hanoi._pair_orbits``.
 
 The move rules are certified once per orbit of states.  Each mode's move
 table is the builder's rank arithmetic (``hanoi._move_ranks``).  The builder
@@ -35,7 +36,6 @@ call re-validates them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,10 +53,9 @@ from .hanoi import (
     DEFAULT_STATE_CAP,
     INVOLUTE,
     HanoiParams,
-    TooLarge,
-    _first_appearance,
     _move_ranks,
     _orbit_index,
+    _pair_orbits,
     _renamings,
     _sorted_unique,
     _valid_rows,
@@ -80,39 +79,6 @@ class CheckResult:
     ok: bool
     detail: str = ""
     skipped: bool = False
-
-
-def _pair_orbits(states: np.ndarray, cap: int = DEFAULT_STATE_CAP):
-    """One ordered pair per orbit of the value relabelings that fix 0.
-
-    A pair (a, b) is its orbit's representative when the concatenation a + b
-    names its nonzero values in order of first appearance.  Returns the
-    canonical states (``sources``, vertex ids) and, for the representatives
-    sorted by (a, b), the position of a in ``sources``, the vertex b, and the
-    number m of distinct nonzero values in a + b; the orbit holds perm(r, m)
-    pairs.  Raises :class:`TooLarge` when there are more than ``cap``
-    representatives, counted from the class sizes before any is listed.
-    """
-    relabeled, used = _first_appearance(states, 0)
-    sources = np.flatnonzero((relabeled == states).all(axis=1))
-    classes = []  # (a, b, m[b]) for each count w of values named by a
-    for w in _sorted_unique(used[sources]):
-        relabeled, m = _first_appearance(states, w)
-        b = np.flatnonzero((relabeled == states).all(axis=1))
-        classes.append((np.flatnonzero(used[sources] == w), b, m[b]))
-    count = sum(a.size * b.size for a, b, _ in classes)
-    if count > cap:
-        raise TooLarge(f"{count} state-pair orbits exceed the cap of {cap}")
-    pair_a = np.concatenate([np.repeat(a, b.size) for a, b, _ in classes])
-    pair_b = np.concatenate([np.tile(b, a.size) for a, b, _ in classes])
-    distinct = np.concatenate([np.tile(m, a.size) for a, _, m in classes])
-    order = np.lexsort((pair_b, pair_a))
-    return sources, pair_a[order], pair_b[order], distinct[order]
-
-
-def _pairs_covered(r: int, distinct: np.ndarray) -> int:
-    """Ordered pairs in the orbits of representatives with these distinct-value counts."""
-    return sum(math.perm(r, m) * int(c) for m, c in enumerate(np.bincount(distinct)))
 
 
 def _is_equivariant(table: np.ndarray, states: np.ndarray, params: HanoiParams) -> bool:
@@ -173,7 +139,7 @@ def run_verify_suite(
     The solver, disjoint-support and uniformity checks run on one ordered
     state pair per orbit of the value relabelings, which the row "value
     relabeling is an automorphism" proves sound; the solver row passes only
-    when the orbits cover all n^2 pairs.  Distance rows come from the state
+    when the orbits' sizes sum to n^2.  Distance rows come from the state
     orbits' representatives alone, so nothing of size n x n is built.
 
     ``pair_limit`` caps the number of orbit representatives the solver check
@@ -181,8 +147,9 @@ def run_verify_suite(
     of the n^2 pairs the sample covers.  The disjoint-support check always
     covers every orbit.  A ``pair_limit`` below 1 raises ValueError.
     Solver paths come from ``solver._construct_codes`` in blocks of
-    ``_BLOCK_CODES >> k`` pairs: the sample, replayed, then the
-    disjoint-support orbits left out of it.
+    ``_BLOCK_CODES >> k`` pairs, and every path is replayed: the sample's
+    for the solver row, then those of the disjoint-support orbits left out
+    of it, whose failure fails the disjoint-support row.
     """
     if pair_limit is not None and pair_limit < 1:
         raise ValueError(f"pair sample must be at least 1, got {pair_limit}")
@@ -191,7 +158,8 @@ def run_verify_suite(
     improper = HanoiParams(r, k, proper=False)
     states_p = state_matrix(proper, cap)
     states_i = state_matrix(improper, cap)
-    orbits = _pair_orbits(states_p, cap)
+    index_p = _orbit_index(states_p, proper)
+    orbits = _pair_orbits(states_p, index_p, proper, cap)
 
     # State counts against the closed forms, and every state valid.
     ok = (
@@ -215,15 +183,14 @@ def run_verify_suite(
     # table's equivariance carries their verdicts to every state of each orbit.
     graphs = {}
     sym = involutive = True
-    for label, params, states in (
-        ("proper", proper, states_p),
-        ("improper", improper, states_i),
+    for label, params, states, index in (
+        ("proper", proper, states_p, index_p),
+        ("improper", improper, states_i, _orbit_index(states_i, improper)),
     ):
         g = build_explicit(params, cap)
         graphs[label] = g
         table = _move_ranks(states, params)
         n = len(states)
-        index = _orbit_index(states, params)
         canonical = np.flatnonzero(index == np.arange(n))
         indexed = g.classes is None or np.array_equal(g.classes, index)
         rules = np.array_equal(
@@ -283,7 +250,7 @@ def run_verify_suite(
             )
         )
 
-        sources, pair_a, pair_b, distinct = orbits
+        sources, pair_a, pair_b, sizes = orbits
         # Distances from the state-orbit representatives, gathered per pair
         # representative; the rows themselves are dropped chunk by chunk.  They
         # come in the order of ``sources``, the positions pair_a indexes.
@@ -297,20 +264,20 @@ def run_verify_suite(
 
         # Solver against the BFS oracle.
         total_pairs = n * n
-        covered = _pairs_covered(r, distinct)
+        covered = int(sizes.sum())
         picked = np.arange(pair_a.size)
         if pair_limit is not None and pair_a.size > pair_limit:
             picked = _sorted_unique(np.linspace(0, pair_a.size - 1, pair_limit).astype(np.int64))
             scope = (
                 f"sampled {picked.size} of {pair_a.size} orbit representatives, covering "
-                f"{_pairs_covered(r, distinct[picked])} of {total_pairs} pairs"
+                f"{int(sizes[picked].sum())} of {total_pairs} pairs"
             )
         else:
             scope = f"all {total_pairs} pairs ({pair_a.size} orbits)"
         ok = covered == total_pairs
         if not ok:
             scope += f"; orbits cover {covered} of {total_pairs} pairs"
-        # Solve and replay the sample, then solve the disjoint orbits left out.
+        # Solve and replay the sample, then the disjoint orbits left out of it.
         seconds = states_p[pair_b]
         shared = np.zeros(pair_a.size, dtype=bool)
         for j in range(k):
@@ -318,30 +285,30 @@ def run_verify_suite(
         rest = ~shared
         rest[picked] = False
         lengths = np.zeros(pair_a.size, dtype=np.int32)
-        replayed = True
+        replayed = np.zeros(pair_a.size, dtype=bool)
         step = max(1, _BLOCK_CODES >> k)
-        for solved, replay in ((picked, True), (np.flatnonzero(rest), False)):
+        for solved in (picked, np.flatnonzero(rest)):
             for lo in range(0, solved.size, step):
                 p = solved[lo:lo + step]
                 offsets, codes = _construct_codes(states_p[first[p]], states_p[pair_b[p]], r)
                 lengths[p] = np.diff(offsets)
-                if replay:
-                    replayed = replayed and _replay_codes(
-                        offsets, codes, first[p], pair_b[p], table_p, states_p[:, 0])
-        ok = ok and replayed and bool(
-            (lengths[picked] <= target).all() and (lengths[picked] >= pair_dist[picked]).all()
+                replayed[p] = _replay_codes(
+                    offsets, codes, first[p], pair_b[p], table_p, states_p[:, 0])
+        ok = ok and bool(
+            replayed[picked].all()
+            and (lengths[picked] <= target).all() and (lengths[picked] >= pair_dist[picked]).all()
         )
         results.append(CheckResult("solver vs BFS bounds", ok, scope))
 
         # Disjoint support forces distance exactly 2^k - 1, and the solver meets it.
         disjoint = np.flatnonzero(~shared)
         exact_bfs = bool((pair_dist[disjoint] == target).all())
-        exact_solver = bool((lengths[disjoint] == target).all())
+        exact_solver = bool((lengths[disjoint] == target).all() and replayed[rest].all())
         results.append(
             CheckResult(
                 "disjoint-support exactness",
                 exact_bfs and exact_solver,
-                f"{_pairs_covered(r, distinct[disjoint])} ordered pairs at distance {target}",
+                f"{int(sizes[disjoint].sum())} ordered pairs at distance {target}",
             )
         )
 

@@ -48,19 +48,24 @@ CASES = (
      for r, k in VERIFY for json_flag in ([], ["--json"])]
     + [["verify", "--r", "4", "--k", "3", "--sample-pairs", "10"],
        ["verify", "--r", "8", "--k", "4", "--sample-pairs", "50"],
-       ["verify", "--r", "6", "--k", "5"]]
+       ["verify", "--r", "6", "--k", "5"],
+       ["verify", "--r", "2", "--k", "7"]]
     + [["plan", "--n", str(n), "--epsilon", eps, *json_flag]
        for n in (16, 5000, 65536) for eps in ("1/2", "1/16") for json_flag in ([], ["--json"])]
     + [["generate", "--r", "4", "--k", "2", "--proper", "--out", "p42.dug"],
        ["generate", "--r", "3", "--k", "3", "--out", "i33.dug", "--json"],
-       ["generate", "--r", "12", "--k", "4", "--proper", "--out", "p124.dug"]]
+       ["generate", "--r", "12", "--k", "4", "--proper", "--out", "p124.dug"],
+       ["generate", "--r", "2", "--k", "9", "--proper", "--out", "p29.dug"]]
     + [["analyze", "--in", "p42.dug", *flags]
        for flags in ([], ["--json"], ["--sources", "3"], ["--epsilon", "9/16", "--d", "3"])]
+    + [["analyze", "--in", "p29.dug"]]
     + [["blowup", "--in", "p42.dug", "--n-target", "24", "--out", "p42-24.dug"],
        ["truncate", "--r", "3", "--k", "2", "--out", "t32.dug"],
        ["solve", "--r", "3", "--k", "4", "--from", "1,2,1,2", "--to", "3,0,3,0"],
        ["solve", "--r", "3", "--k", "4", "--proper", "--from", "1,2,1,2", "--to", "3,1,2,1",
-        "--json"]]
+        "--json"],
+       ["solve", "--r", "3", "--k", "26", "--from", ",".join(["1", "2"] * 13),
+        "--to", ",".join(["3", "0"] * 13)]]
     + [["analyze", "--in", name] for name in INPUTS]
 )
 

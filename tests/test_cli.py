@@ -167,6 +167,15 @@ def test_solve_at_large_k_builds_only_the_moves(capsys, k):
     assert traced_peak(lambda: solve(a, b, HanoiParams(3, k))) < 1 << 20
 
 
+def test_solve_refuses_a_path_past_the_move_budget(capsys):
+    """A disjoint pair at k = 26 needs 2^26 - 1 moves; the refusal comes before they exist."""
+    argv = ["solve", "--r", "3", "--k", "26",
+            "--from", ",".join(["1", "2"] * 13), "--to", ",".join(["3", "0"] * 13)]
+    results = []
+    assert traced_peak(lambda: results.append(run(capsys, *argv))) < 1 << 27
+    assert results == [(2, "", "error: solver paths need more than 1048576 moves\n")]
+
+
 def test_solve_checks_its_path_without_assert(capsys, monkeypatch):
     """A path that ends off target raises AssertionError naming both states, also under -O."""
     monkeypatch.setattr(dug.cli, "solve", lambda a, b, params: MovePath(a, (Adjust(3),)))

@@ -1,5 +1,6 @@
 """Every name a dug module imports is used in that module, only graph.py
-names the BFS oracle, no module names the scalar solver recursion, holds an
+names the BFS oracle, only hanoi.py names the renaming orbits' canonical form
+or their sizes, no module names the scalar solver recursion, holds an
 ``assert`` statement, or calls BLAS or a numpy set routine, and ``import dug``
 starts no OpenBLAS thread pool.
 
@@ -9,9 +10,11 @@ to re-export them.  ``bfs_distances`` cross-checks the bit-parallel distance
 engine in the tests, so no other module may run it in its stead.  Since no
 module calls a BLAS routine, ``import dug`` loads numpy's OpenBLAS with one
 thread; the fresh interpreters below check that it leaves ``os.environ`` and
-a caller's own BLAS settings as they were.  The first call of ``np.unique``
-or a numpy set routine imports ``numpy.ma`` (16-23 ms on a 2-CPU x86_64 host),
-so no module names one, and the verify suite and the CLI round trip leave
+a caller's own BLAS settings as they were.  ``hanoi.py`` defines the value
+renamings of each mode, so ``_first_appearance`` (their canonical form) and
+``perm`` (an orbit's size) appear in no other module.  The first call of
+``np.unique`` or a numpy set routine imports ``numpy.ma`` (16-23 ms on a 2-CPU
+x86_64 host), so no module names one, and the verify suite and the CLI round trip leave
 ``numpy.ma`` unimported.  ``solve`` and the verify suite build their solver
 paths with one array construction (``solver._construct_codes``); the scalar
 recursion ``_construct`` lives in the tests as its reference, so no module
@@ -83,6 +86,14 @@ def test_names_used_sees_imports_reads_and_attributes():
 )
 def test_only_graph_names_the_bfs_oracle(module):
     assert "bfs_distances" not in names_used((SRC / module).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "hanoi.py")
+)
+def test_only_hanoi_names_the_renaming_orbits(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert names_used(source) & {"_first_appearance", "perm"} == set()
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

@@ -7,6 +7,7 @@ from dug import (
     Adjust,
     HanoiParams,
     IllegalMoveAt,
+    TooLarge,
     MovePath,
     enumerate_states,
     format_move,
@@ -18,6 +19,7 @@ from dug import (
     solve,
     verify_path,
 )
+import dug.solver
 from dug.solver import _construct_codes
 
 from conftest import alternating, move_adjacency, oracle_all_pairs, scalar_construct, traced_peak
@@ -218,3 +220,14 @@ def test_construct_codes_match_construct(case):
     assert offsets.shape == (len(pairs) + 1,) and offsets[0] == 0 and offsets[-1] == codes.size
     for i, pair in enumerate(pairs):
         assert codes[offsets[i]:offsets[i + 1]].tolist() == move_codes(scalar_construct(*pair), r)
+
+
+@pytest.mark.parametrize("budget", [7, 14])
+def test_construct_codes_refuses_paths_past_the_move_budget(monkeypatch, budget):
+    """(1,2,1,2) to (3,0,3,0) takes 15 moves; its last level keeps 8 sub-problems."""
+    a, b = np.array([[1, 2, 1, 2]]), np.array([[3, 0, 3, 0]])
+    monkeypatch.setattr(dug.solver, "_MOVE_BUDGET", budget)
+    with pytest.raises(TooLarge, match=f"^solver paths need more than {budget} moves$"):
+        _construct_codes(a, b, 3)
+    monkeypatch.setattr(dug.solver, "_MOVE_BUDGET", 15)
+    assert _construct_codes(a, b, 3)[0].tolist() == [0, 15]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -36,6 +35,7 @@ from dug.hanoi import (
     _first_appearance,
     _move_ranks,
     _orbit_index,
+    _pair_orbits,
     apply_move,
     state_index,
     state_matrix,
@@ -44,8 +44,6 @@ from dug.solver import _construct_codes, _replay_codes
 from dug.verification import (
     CheckResult,
     _is_equivariant,
-    _pair_orbits,
-    _pairs_covered,
     _is_symmetric,
     _move_table,
     _valid_rows,
@@ -53,6 +51,14 @@ from dug.verification import (
 )
 
 from conftest import scalar_construct, traced_peak
+
+
+def proper_pair_orbits(r, k, cap=DEFAULT_STATE_CAP):
+    """hanoi._pair_orbits of the proper (r, k) states, as the suite calls it."""
+    params = HanoiParams(r, k, proper=True)
+    states = state_matrix(params)
+    return _pair_orbits(states, _orbit_index(states, params), params, cap)
+
 
 PAIR_ROWS = (
     "solver vs BFS bounds",
@@ -160,28 +166,31 @@ def test_orbit_suite_matches_all_pairs_replay(r, k):
     for want in all_pairs_rows(r, k):
         got = by_name[want.name]
         if want.name == "solver vs BFS bounds":
-            orbits = len(_pair_orbits(state_matrix(HanoiParams(r, k, proper=True)))[1])
+            orbits = len(proper_pair_orbits(r, k)[1])
             want = CheckResult(want.name, want.ok, f"{want.detail} ({orbits} orbits)")
         assert got == want
 
 
-def _canonical(a, b):
-    names = {0: 0}
+def _canonical(a, b, proper=True):
+    names = {0: 0} if proper else {}
     return tuple(names.setdefault(v, len(names)) for v in a + b)
 
 
 @pytest.mark.parametrize("r,k", [(2, 1), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)])
 def test_pair_orbits_match_brute_force(r, k):
-    params = HanoiParams(r, k, proper=True)
-    states = enumerate_states(params)
-    sizes = Counter(_canonical(a, b) for a in states for b in states)
-    sources, pair_a, pair_b, distinct = _pair_orbits(state_matrix(params))
-    reps = [states[sources[i]] + states[j] for i, j in zip(pair_a, pair_b)]
-    assert reps == sorted(sizes) and len(set(reps)) == len(reps)
-    assert [sizes[rep] for rep in reps] == [math.perm(r, m) for m in distinct]
-    assert [len(set(rep) - {0}) for rep in reps] == list(distinct)
-    assert _pairs_covered(r, distinct) == len(states) ** 2
-    assert list(sources) == [i for i, s in enumerate(states) if _canonical(s, ()) == s]
+    """The proper mode's, which the suite reads, and the improper mode's (0 renamed too)."""
+    for proper in (True, False):
+        params = HanoiParams(r, k, proper)
+        states = enumerate_states(params)
+        sizes = Counter(_canonical(a, b, proper) for a in states for b in states)
+        matrix = state_matrix(params)
+        sources, pair_a, pair_b, orbit_sizes = _pair_orbits(
+            matrix, _orbit_index(matrix, params), params)
+        reps = [states[sources[i]] + states[j] for i, j in zip(pair_a, pair_b)]
+        assert reps == sorted(sizes) and len(set(reps)) == len(reps)
+        assert [sizes[rep] for rep in reps] == orbit_sizes.tolist()
+        assert orbit_sizes.sum() == len(states) ** 2
+        assert list(sources) == [i for i, s in enumerate(states) if _canonical(s, (), proper) == s]
 
 
 def test_broken_automorphism_is_caught():
@@ -447,9 +456,8 @@ def test_solver_row_lengths_serve_the_disjoint_row(monkeypatch):
         return real(a, b, r)
 
     monkeypatch.setattr(dug.verification, "_construct_codes", spy)
-    proper = HanoiParams(4, 3, proper=True)
-    states = state_matrix(proper)
-    sources, pair_a, pair_b, _ = _pair_orbits(states)
+    states = state_matrix(HanoiParams(4, 3, proper=True))
+    sources, pair_a, pair_b, _ = proper_pair_orbits(4, 3)
     reps = [(tuple(states[a].tolist()), tuple(states[b].tolist()))
             for a, b in zip(sources[pair_a], pair_b)]
     assert all(c.ok for c in run_verify_suite(4, 3))
@@ -461,6 +469,27 @@ def test_solver_row_lengths_serve_the_disjoint_row(monkeypatch):
     disjoint = {(a, b) for a, b in reps if not set(a) & set(b)}
     assert len(sample) == 10 and len(disjoint - sample) > 0
     assert calls == Counter(sample | disjoint)
+
+
+def test_misrouted_disjoint_paths_fail_a_pair_row(monkeypatch):
+    """Disjoint paths of the right length but a wrong first move never pass both pair rows.
+
+    Unsampled, the solver row replays them; sampled, the disjoint-support row
+    replays those left out of the sample.
+    """
+    real = dug.verification._construct_codes
+
+    def misrouted(a, b, r):
+        offsets, codes = real(a, b, r)
+        first = offsets[:-1][~(a[:, :, None] == b[:, None, :]).any(axis=(1, 2))]
+        codes[first] = (codes[first] + 1) % (r + 2)
+        return offsets, codes
+
+    monkeypatch.setattr(dug.verification, "_construct_codes", misrouted)
+    rows = {c.name: c.ok for c in run_verify_suite(4, 3)}
+    assert not rows["solver vs BFS bounds"] and rows["disjoint-support exactness"]
+    rows = {c.name: c.ok for c in run_verify_suite(4, 3, pair_limit=10)}
+    assert not rows["disjoint-support exactness"]
 
 
 def test_builder_fault_fails_the_builder_and_truncation_rows(monkeypatch):
@@ -648,11 +677,18 @@ def test_faulty_solver_path_fails_its_row(monkeypatch, capsys, fault):
 
 
 def _representative_codes(params):
-    """State matrix, (offsets, codes) of every pair-orbit representative, and their start and goal."""
+    """State matrix, (offsets, codes) of every pair-orbit representative, and their start and goal.
+
+    The codes are built in the suite's blocks, each within the solver's move budget.
+    """
     states = state_matrix(params)
-    sources, pair_a, pair_b, _ = _pair_orbits(states)
+    sources, pair_a, pair_b, _ = proper_pair_orbits(params.r, params.k)
     starts = sources[pair_a]
-    return states, _construct_codes(states[starts], states[pair_b], params.r), starts, pair_b
+    step = dug.verification._BLOCK_CODES >> params.k
+    blocks = [_construct_codes(states[starts[lo:lo + step]], states[pair_b[lo:lo + step]], params.r)
+              for lo in range(0, starts.size, step)]
+    offsets = np.concatenate([[0], *(np.diff(o) for o, _ in blocks)]).cumsum()
+    return states, (offsets, np.concatenate([c for _, c in blocks])), starts, pair_b
 
 
 @pytest.mark.parametrize(
@@ -733,9 +769,9 @@ def test_suite_builds_each_explicit_graph_once(monkeypatch):
 def test_solver_row_needs_every_orbit(monkeypatch):
     real = dug.verification._pair_orbits
 
-    def one_short(states, cap):
-        sources, pair_a, pair_b, distinct = real(states, cap)
-        return sources, pair_a[:-1], pair_b[:-1], distinct[:-1]
+    def one_short(*args):
+        sources, pair_a, pair_b, sizes = real(*args)
+        return sources, pair_a[:-1], pair_b[:-1], sizes[:-1]
 
     monkeypatch.setattr(dug.verification, "_pair_orbits", one_short)
     solver = next(c for c in run_verify_suite(3, 2) if c.name == "solver vs BFS bounds")
@@ -744,15 +780,29 @@ def test_solver_row_needs_every_orbit(monkeypatch):
     assert m and int(m.group(1)) < 81
 
 
+def test_suite_computes_each_orbit_index_once(monkeypatch):
+    """One index per mode; the proper one serves the builder row and the pair orbits."""
+    real = dug.verification._orbit_index
+    calls = Counter()
+
+    def spy(states, params):
+        calls[params] += 1
+        return real(states, params)
+
+    monkeypatch.setattr(dug.verification, "_orbit_index", spy)
+    assert all(c.ok for c in run_verify_suite(4, 3))
+    assert calls == {HanoiParams(4, 3, proper=True): 1, HanoiParams(4, 3): 1}
+
+
 @pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
 def test_pair_orbit_sources_are_the_class_representatives(r, k):
     """The pair-orbit sources are the builder's class representatives.
 
-    The suite does not rely on it: it sweeps ``sources`` by name, and the
-    class table separately.  This only documents that both reductions agree.
+    Both are read from ``hanoi._orbit_index``.  The suite sweeps ``sources``
+    by name, and the class table separately; this documents that they agree.
     """
     params = HanoiParams(r, k, proper=True)
-    sources = _pair_orbits(state_matrix(params))[0]
+    sources = proper_pair_orbits(r, k)[0]
     assert sources.tolist() == np.unique(build_explicit(params).classes).tolist()
 
 
@@ -830,7 +880,7 @@ def test_suite_sweeps_the_proper_graph_twice(monkeypatch, capsys):
     stdout = capsys.readouterr().out
     params = HanoiParams(4, 3, proper=True)
     gp = built[params]
-    sources = _pair_orbits(state_matrix(params))[0].tolist()
+    sources = proper_pair_orbits(4, 3)[0].tolist()
     classes = np.unique(gp.classes).tolist()
     assert scans == [(id(gp), sources, True), (id(gp), classes, False)]
     # the kept table is the one a fresh sweep makes
@@ -850,11 +900,10 @@ def test_suite_sweeps_the_proper_graph_twice(monkeypatch, capsys):
 
 @pytest.mark.parametrize("r,k", DESK, ids=[f"r{r}k{k}" for r, k in DESK])
 def test_pair_orbits_are_counted_before_they_are_listed(r, k):
-    states = state_matrix(HanoiParams(r, k, proper=True))
-    count = len(_pair_orbits(states)[1])
-    assert len(_pair_orbits(states, cap=count)[1]) == count
+    count = len(proper_pair_orbits(r, k)[1])
+    assert len(proper_pair_orbits(r, k, cap=count)[1]) == count
     with pytest.raises(TooLarge, match=f"^{count} state-pair orbits exceed the cap of {count - 1}$"):
-        _pair_orbits(states, cap=count - 1)
+        proper_pair_orbits(r, k, cap=count - 1)
 
 
 def test_too_many_pair_orbits_exit_2_before_any_graph_is_built(monkeypatch, capsys):

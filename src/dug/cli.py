@@ -18,7 +18,7 @@ from .analyze import best_uniformity, is_distance_uniform
 from .graph import ExplicitGraph, blow_up, build_explicit, load_edge_list, save_edge_list
 from .hanoi import HanoiParams, _sorted_unique, format_state, make_state, parse_state
 from .planner import plan_parameters
-from .solver import format_path, solve, verify_path
+from .solver import IllegalMoveAt, format_path, solve, verify_path
 from .truncation import iterate_truncation
 from .verification import run_verify_suite
 
@@ -159,9 +159,16 @@ def _cmd_solve(args) -> int:
     start = make_state(parse_state(args.start), params)
     target = make_state(parse_state(args.target), params)
     path = solve(start, target, params)
-    if (final := verify_path(path, params)) != target:
-        raise AssertionError(
-            f"solver path ends at {format_state(final)}, not {format_state(target)}")
+    # A path that fails its own check is dug's fault, not the input's: exit 1.
+    fault = None
+    try:
+        if (final := verify_path(path, params)) != target:
+            fault = f"solver path ends at {format_state(final)}, not {format_state(target)}"
+    except IllegalMoveAt as exc:
+        fault = f"solver path breaks the move rules at {exc}"
+    if fault:
+        print(f"error: {fault}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps({
             "from": args.start,

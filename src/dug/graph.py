@@ -25,6 +25,7 @@ from .hanoi import (
     TooLarge,
     _move_ranks,
     _orbit_index,
+    _refuse_past_cap,
     _sorted_unique,
     format_state,
     state_matrix,
@@ -262,7 +263,8 @@ def _row_runs(indptr: np.ndarray, limit: int) -> list[tuple[int, int]]:
 def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> ExplicitGraph:
     """Explicit Hanoi state graph: vertices in lexicographic state order, labeled by state text.
 
-    The cap bounds both the state count and the edge count.  Row v of the CSR
+    The cap bounds both the state count and the edge count, both checked by
+    hanoi._refuse_past_cap before any state is enumerated.  Row v of the CSR
     adjacency is row v of hanoi._move_ranks, each move's target computed on
     ranks, sorted and without the -1 of illegal moves; the verify suite
     checks it against the move rules, applied state by state.
@@ -272,11 +274,9 @@ def build_explicit(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> Explici
     state of its orbit, and the all-source analyses scan one source per
     orbit.  The verify suite certifies that index with the move table.
     """
+    _refuse_past_cap(params, cap)
     n = params.state_count()
     S = state_matrix(params, cap)
-    edges = n * (n - 1) // 2 if params.k == 1 else n * params.r // 2  # K_n at k = 1
-    if edges > cap:
-        raise TooLarge(f"{'about ' if params.k > 1 else ''}{edges} edges exceed the cap of {cap}")
     table = _move_ranks(S, params)
     table.sort(axis=1)  # the illegal moves' -1 first
     legal = table >= 0
@@ -557,17 +557,21 @@ def blow_up(g: ExplicitGraph, n_target: int) -> ExplicitGraph:
 def save_edge_list(g: ExplicitGraph, path) -> None:
     """Write the graph in the `dug 1` edge-list format (lossless, labels included).
 
-    Raises ValueError, before the file is opened, for a label that would not
-    load back unchanged: one that is not a str, an empty one, one holding a
-    line break, one with leading or trailing whitespace, or one that UTF-8
-    cannot encode (it holds a lone surrogate).  Label lines are formatted
-    _EDGE_CHUNK at a time by one str.join, and edge lines byte for byte as
-    '%d' would, _EDGE_CHUNK at a time, by :func:`_edge_lines`.
+    Raises ValueError, before the file is opened, for labels that would not
+    load back unchanged: not one per vertex, a repeated one, or one that is
+    not a str, is empty, holds a line break, has leading or trailing
+    whitespace, or that UTF-8 cannot encode (it holds a lone surrogate).
+    Label lines are formatted _EDGE_CHUNK at a time by one str.join, and
+    edge lines byte for byte as '%d' would, _EDGE_CHUNK at a time, by
+    :func:`_edge_lines`.
     """
     for v, lab in enumerate(g.labels or ()):
         if (not isinstance(lab, str) or not lab or lab != lab.strip()
                 or "\n" in lab or "\r" in lab or not _is_utf8(lab)):
             raise ValueError(f"label {lab!r} of vertex {v} would not load back unchanged")
+    if g.labels is not None and (len(g.labels) != g.n or len(set(g.labels)) != g.n):
+        raise ValueError(f"{len(g.labels)} labels, {len(set(g.labels))} distinct, "
+                         f"for {g.n} vertices would not load back unchanged")
     with open(path, "wb") as fh:
         fh.write(f"dug 1 {g.n} {g.m}\n".encode())
         labels = g.labels or ()

@@ -30,7 +30,8 @@ import numpy as np
 
 State = tuple[int, ...]
 
-#: Default ceiling on explicit state enumeration (number of states).
+#: Default ceiling on an explicit shape: its states and its graph's edges
+#: (see :func:`_refuse_past_cap`), and on a loaded or blown-up graph's size.
 DEFAULT_STATE_CAP = 1 << 26
 
 
@@ -71,7 +72,7 @@ class IllegalInvolute(MoveError):
 
 
 class TooLarge(ValueError):
-    """Explicit enumeration would exceed the configured state cap."""
+    """Explicit enumeration would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -267,6 +268,22 @@ def state_index(x: State, params: HanoiParams) -> int:
         d = x[i] - (1 if x[i] > x[i - 1] else 0)
         idx = idx * r + d
     return idx
+
+
+def _refuse_past_cap(params: HanoiParams, cap: int) -> None:
+    """Raise :class:`TooLarge` when the shape's states, or its graph's edges, exceed ``cap``.
+
+    O(1), before anything is enumerated.  The graph is K_n at k = 1; above, it
+    has at most n*r/2 edges, exactly that many when improper (r-regular), so
+    only a proper count says "about".  :func:`state_matrix` checks the states alone.
+    """
+    n = params.state_count()
+    if n > cap:
+        raise TooLarge(f"{n} states exceed the cap of {cap}")
+    m = n * (n - 1) // 2 if params.k == 1 else n * params.r // 2
+    if m > cap:
+        about = "about " if params.proper and params.k > 1 else ""
+        raise TooLarge(f"{about}{m} edges exceed the cap of {cap}")
 
 
 def state_matrix(params: HanoiParams, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:

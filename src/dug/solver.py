@@ -120,7 +120,9 @@ def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, 
         starts, goals = starts << bits | a_i, goals << bits | b_i
     # Down, one round of array operations per level: which sub-problems hold the
     # involution, and which children still differ (the next level, left ones first).
-    levels = []
+    # The moves placed so far, plus one at least for each sub-problem kept,
+    # bound the total from below before the next level is concatenated.
+    levels, placed = [], 0
     for t in range(k - 1, 0, -1):  # the length of the tails
         x, y = starts >> bits * t, goals >> bits * t
         starts, goals = starts & (1 << bits * t) - 1, goals & (1 << bits * t) - 1
@@ -129,11 +131,12 @@ def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, 
         move = x != y
         left, right = np.where(move, y * even + x * odd, goals), x * even + y * odd
         kept_left, kept_right = starts != left, move & (right != goals)
+        placed += np.count_nonzero(move)
+        if placed + np.count_nonzero(kept_left) + np.count_nonzero(kept_right) > _MOVE_BUDGET:
+            raise TooLarge(f"solver paths need more than {_MOVE_BUDGET} moves")
         levels.append((move, kept_left, kept_right))
         starts = np.concatenate([starts[kept_left], right[kept_right]])
         goals = np.concatenate([left[kept_left], goals[kept_right]])
-        if starts.size > _MOVE_BUDGET:  # each sub-problem kept makes a move at least
-            raise TooLarge(f"solver paths need more than {_MOVE_BUDGET} moves")
     # Up: the moves under each sub-problem and its left child.  Down again: a
     # sub-problem whose moves start at o has its involution at o + (its left
     # child's moves), and its right child starts one past that.
@@ -146,7 +149,7 @@ def _construct_codes(a: np.ndarray, b: np.ndarray, r: int) -> tuple[np.ndarray, 
         size = left + right + move
         lefts.append(left)
     offsets = np.concatenate([[0], np.cumsum(size)])
-    if offsets[-1] > _MOVE_BUDGET:
+    if offsets[-1] > _MOVE_BUDGET:  # the exact total: at k = 1, the only check
         raise TooLarge(f"solver paths need more than {_MOVE_BUDGET} moves")
     codes = np.empty(offsets[-1], dtype=np.min_scalar_type(r + 1))
     at = offsets[:-1]

@@ -33,7 +33,7 @@ from .graph import ExplicitGraph, build_explicit
 from .hanoi import (
     DEFAULT_STATE_CAP,
     HanoiParams,
-    TooLarge,
+    _refuse_past_cap,
     _valid_rows,
     encode_states,
 )
@@ -133,12 +133,11 @@ def truncate_once(t: LabeledGraph) -> LabeledGraph:
 
 
 def iterate_truncation(r: int, k: int, cap: int = DEFAULT_STATE_CAP) -> LabeledGraph:
-    """k-1 truncations of K_{r+1}: (r+1) * r^(k-1) vertices of degree r, one per length-k state."""
-    count = HanoiParams(r, k).state_count()
-    if count > cap:
-        raise TooLarge(f"{count} vertices exceed the cap of {cap}")
-    if count * r // 2 > cap:
-        raise TooLarge(f"{count * r // 2} edges exceed the cap of {cap}")
+    """k-1 truncations of K_{r+1}: (r+1) * r^(k-1) vertices of degree r, one per length-k state.
+
+    Sized, before anything is built, as the improper Hanoi graph (hanoi._refuse_past_cap).
+    """
+    _refuse_past_cap(HanoiParams(r, k), cap)
     t = base_simplex(r, cap)
     for _ in range(k - 1):
         t = truncate_once(t)

@@ -56,6 +56,7 @@ from .hanoi import (
     _move_ranks,
     _orbit_index,
     _pair_orbits,
+    _refuse_past_cap,
     _renamings,
     _sorted_unique,
     _valid_rows,
@@ -65,12 +66,8 @@ from .hanoi import (
     state_index,
     state_matrix,
 )
-from .solver import _construct_codes, _replay_codes
+from .solver import _MOVE_BUDGET, _construct_codes, _replay_codes
 from .truncation import _certify, iterate_truncation
-
-
-# Moves per block of solver paths, 2^k - 1 a pair at most: bounds their memory.
-_BLOCK_CODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,12 @@ def run_verify_suite(
     ``pair_limit`` caps the number of orbit representatives the solver check
     replays (evenly sampled when there are more); its detail names how many
     of the n^2 pairs the sample covers.  The disjoint-support check always
-    covers every orbit.  A ``pair_limit`` below 1 raises ValueError.
+    covers every orbit.  A ``pair_limit`` below 1 raises ValueError.  A shape
+    past ``cap`` raises TooLarge before any state is enumerated, with the
+    improper mode's counts, the largest graph the suite builds.
     Solver paths come from ``solver._construct_codes`` in blocks of
-    ``_BLOCK_CODES >> k`` pairs, and every path is replayed: the sample's
+    ``_MOVE_BUDGET >> (k + 2)`` pairs, at 2^k - 1 moves a pair a quarter of
+    the solver's budget at most, and every path is replayed: the sample's
     for the solver row, then those of the disjoint-support orbits left out
     of it, whose failure fails the disjoint-support row.
     """
@@ -156,6 +156,7 @@ def run_verify_suite(
     results: list[CheckResult] = []
     proper = HanoiParams(r, k, proper=True)
     improper = HanoiParams(r, k, proper=False)
+    _refuse_past_cap(improper, cap)  # the largest graph built; the proper one is smaller
     states_p = state_matrix(proper, cap)
     states_i = state_matrix(improper, cap)
     index_p = _orbit_index(states_p, proper)
@@ -286,7 +287,7 @@ def run_verify_suite(
         rest[picked] = False
         lengths = np.zeros(pair_a.size, dtype=np.int32)
         replayed = np.zeros(pair_a.size, dtype=bool)
-        step = max(1, _BLOCK_CODES >> k)
+        step = max(1, _MOVE_BUDGET >> (k + 2))
         for solved in (picked, np.flatnonzero(rest)):
             for lo in range(0, solved.size, step):
                 p = solved[lo:lo + step]

@@ -49,7 +49,9 @@ CASES = (
     + [["verify", "--r", "4", "--k", "3", "--sample-pairs", "10"],
        ["verify", "--r", "8", "--k", "4", "--sample-pairs", "50"],
        ["verify", "--r", "6", "--k", "5"],
-       ["verify", "--r", "2", "--k", "7"]]
+       ["verify", "--r", "2", "--k", "7"],
+       ["verify", "--r", "8", "--k", "2", "--cap", "6"],
+       ["verify", "--r", "8", "--k", "2", "--cap", "7"]]
     + [["plan", "--n", str(n), "--epsilon", eps, *json_flag]
        for n in (16, 5000, 65536) for eps in ("1/2", "1/16") for json_flag in ([], ["--json"])]
     + [["generate", "--r", "4", "--k", "2", "--proper", "--out", "p42.dug"],

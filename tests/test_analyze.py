@@ -386,3 +386,24 @@ class TestUpperBound:
             g = build_explicit(HanoiParams(r, k, proper=True))
             rep = best_uniformity(g)
             assert check_upper_bound(g.n, rep.epsilon, rep.d)
+
+
+# Largest offcount at d = 2^k - 1 of G_{r,k}, for r >= k: P_k(r), coefficients
+# from the constant term up, fitted on the explicit graphs and checked here.
+EPSILON_POLYNOMIALS = {
+    (True, 2): [-3, 3], (True, 3): [-1, -6, 5], (True, 4): [3, 3, -13, 7],
+    (True, 5): [-21, 19, 12, -23, 9],
+    (False, 2): [-2, 3], (False, 3): [-1, -4, 5], (False, 4): [2, 2, -10, 7],
+}
+LARGEST_R = {2: 64, 3: 24, 4: 12, 5: 8}
+
+
+@pytest.mark.parametrize("proper,k", list(EPSILON_POLYNOMIALS),
+                         ids=[f"{'proper' if p else 'improper'}-k{k}" for p, k in EPSILON_POLYNOMIALS])
+def test_epsilon_at_the_critical_distance_is_a_polynomial_in_r(proper, k):
+    """epsilon at 2^k - 1 is P_k(r)/n for every r >= k, and (n - 1)/n below, where every vertex is off."""
+    coefficients = EPSILON_POLYNOMIALS[proper, k]
+    for r in range(1, LARGEST_R[k] + 1):
+        g = build_explicit(HanoiParams(r, k, proper))
+        off = sum(c * r**i for i, c in enumerate(coefficients)) if r >= k else g.n - 1
+        assert dug.analyze._epsilon_at(g, 2**k - 1) == Fraction(off, g.n), r

@@ -168,20 +168,31 @@ def test_solve_at_large_k_builds_only_the_moves(capsys, k):
 
 
 def test_solve_refuses_a_path_past_the_move_budget(capsys):
-    """A disjoint pair at k = 26 needs 2^26 - 1 moves; the refusal comes before they exist."""
+    """A disjoint pair at k = 26 needs 2^26 - 1 moves; the refusal comes before they exist.
+
+    The running move count refuses before the level of 2^20 sub-problems is
+    concatenated (34 MiB traced; 94 MiB when the check followed it).
+    """
     argv = ["solve", "--r", "3", "--k", "26",
             "--from", ",".join(["1", "2"] * 13), "--to", ",".join(["3", "0"] * 13)]
     results = []
-    assert traced_peak(lambda: results.append(run(capsys, *argv))) < 1 << 27
+    assert traced_peak(lambda: results.append(run(capsys, *argv))) < 40 << 20
     assert results == [(2, "", "error: solver paths need more than 1048576 moves\n")]
 
 
 def test_solve_checks_its_path_without_assert(capsys, monkeypatch):
-    """A path that ends off target raises AssertionError naming both states, also under -O."""
+    """A path that ends off target is dug's fault: one error line and exit 1, also under -O."""
     monkeypatch.setattr(dug.cli, "solve", lambda a, b, params: MovePath(a, (Adjust(3),)))
-    with pytest.raises(AssertionError, match=r"^solver path ends at 1,3, not 3,4$"):
-        cli_dispatch(["solve", "--r", "4", "--k", "2", "--from", "1,2", "--to", "3,4"])
-    assert capsys.readouterr().out == ""
+    argv = ["solve", "--r", "4", "--k", "2", "--from", "1,2", "--to", "3,4"]
+    assert run(capsys, *argv) == (1, "", "error: solver path ends at 1,3, not 3,4\n")
+
+
+def test_solve_reports_an_illegal_path_as_a_failed_check(capsys, monkeypatch):
+    """An illegal move in dug's own path exits 1, not 2 as a bad input would."""
+    monkeypatch.setattr(dug.cli, "solve", lambda a, b, params: MovePath(a, (Adjust(2),)))
+    argv = ["solve", "--r", "4", "--k", "2", "--from", "1,2", "--to", "3,4"]
+    assert run(capsys, *argv) == (1, "", "error: solver path breaks the move rules at move 1: "
+                                         "target 2 equals the current last entry\n")
 
 
 def test_solve_bad_state(capsys):
@@ -326,13 +337,46 @@ def test_header_past_the_vertex_cap_exits_2(tmp_path, capsys, n, command):
 
 
 def test_truncate_edge_cap_exits_2(tmp_path, capsys):
-    # 72 vertices fit the cap of 2^7 = 128, their 288 edges do not
+    # 72 vertices fit the cap of 2^7 = 128, their 288 edges do not; the
+    # improper graph is r-regular, so its count is exact, the proper one's a bound.
     out = tmp_path / "t.dug"
-    code, stdout, stderr = run(capsys, "truncate", "--r", "8", "--k", "2", "--cap", "7",
-                               "--out", str(out))
-    assert code == 2 and stdout == ""
-    assert stderr == "error: 288 edges exceed the cap of 128\n"
-    assert not out.exists()
+    for argv, error in [
+        (["truncate"], "288 edges exceed the cap of 128"),
+        (["generate"], "288 edges exceed the cap of 128"),
+        (["generate", "--proper"], "about 256 edges exceed the cap of 128"),
+    ]:
+        code, stdout, stderr = run(capsys, *argv, "--r", "8", "--k", "2", "--cap", "7",
+                                   "--out", str(out))
+        assert (code, stdout, stderr) == (2, "", f"error: {error}\n"), argv
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["generate", "--r", "8", "--k", "2", "--cap", "6"], "72 states exceed the cap of 64"),
+    (["generate", "--r", "8", "--k", "2", "--proper", "--cap", "7"],
+     "about 256 edges exceed the cap of 128"),
+    (["truncate", "--r", "8", "--k", "3", "--cap", "7"], "576 states exceed the cap of 128"),
+    (["truncate", "--r", "8", "--k", "2", "--cap", "7"], "288 edges exceed the cap of 128"),
+    (["verify", "--r", "8", "--k", "2", "--cap", "6"], "72 states exceed the cap of 64"),
+    (["verify", "--r", "8", "--k", "2", "--cap", "7"], "288 edges exceed the cap of 128"),
+    (["verify", "--r", "4000", "--k", "2"], "32008000000 edges exceed the cap of 67108864"),
+], ids=lambda x: "-".join(x) if isinstance(x, list) else None)
+def test_cap_refusals_enumerate_no_state(tmp_path, capsys, monkeypatch, argv, error):
+    """The shape rule refuses before state_matrix runs, so a refusal costs nothing of size n."""
+    calls = []
+
+    def spy(params, cap=DEFAULT_STATE_CAP):
+        calls.append(params)
+        return real(params, cap)
+
+    real = dug.hanoi.state_matrix
+    for module in (dug.hanoi, dug.graph, dug.verification):
+        monkeypatch.setattr(module, "state_matrix", spy)
+    out = tmp_path / "g.dug"
+    if argv[0] != "verify":
+        argv = [*argv, "--out", str(out)]
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+    assert calls == [] and not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -685,6 +685,19 @@ class TestEdgeListIO:
             save_edge_list(g, f)
         assert f.read_bytes() == b"dug 1 1 0\n"
 
+    @pytest.mark.parametrize("labels,counts", [(("a", "a", "b"), "3 labels, 2 distinct"),
+                                               (("a", "b"), "2 labels, 2 distinct")],
+                             ids=["repeated", "too few"])
+    def test_save_refuses_labels_the_loader_refuses(self, tmp_path, labels, counts):
+        """The constructor takes any labels; the writer refuses what would not load back."""
+        path = ExplicitGraph.from_edges(3, [(0, 1), (1, 2)])
+        g = ExplicitGraph(3, path.indptr, path.indices, labels)
+        f = tmp_path / "g.dug"
+        want = f"^{counts}, for 3 vertices would not load back unchanged$"
+        with pytest.raises(ValueError, match=want):
+            save_edge_list(g, f)
+        assert not f.exists()
+
     @pytest.mark.parametrize("body", ["dug 1 3 2\ne 0 1\ne 1 2\n", "dug 1 3 2\ne 0 1\r\ne 1 2\n",
                                       "dug 1 3 2\ne 0 1\ne 0 1\n", "dug 1 3 0\n"])
     def test_pipe_loads_as_a_file_does(self, tmp_path, body):

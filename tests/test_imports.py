@@ -1,6 +1,7 @@
 """Every name a dug module imports is used in that module, only graph.py
 names the BFS oracle, only hanoi.py names the renaming orbits' canonical form
-or their sizes, no module names the scalar solver recursion, holds an
+or their sizes or words a cap refusal, verification.py takes its solver budget
+from solver.py, no module names the scalar solver recursion, holds an
 ``assert`` statement, or calls BLAS or a numpy set routine, and ``import dug``
 starts no OpenBLAS thread pool.
 
@@ -94,6 +95,24 @@ def test_only_graph_names_the_bfs_oracle(module):
 def test_only_hanoi_names_the_renaming_orbits(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert names_used(source) & {"_first_appearance", "perm"} == set()
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "hanoi.py")
+)
+def test_only_hanoi_words_a_cap_refusal(module):
+    """``hanoi._refuse_past_cap`` sizes every explicit shape; no other module keeps its own rule."""
+    assert "exceed the cap of" not in (SRC / module).read_text(encoding="utf-8")
+
+
+def test_verification_reads_the_solver_budget():
+    """The suite sizes its solver blocks by ``solver._MOVE_BUDGET`` and assigns no constant of its own."""
+    import dug.solver
+    import dug.verification
+
+    tree = ast.parse((SRC / "verification.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    assert dug.verification._MOVE_BUDGET is dug.solver._MOVE_BUDGET
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

@@ -684,7 +684,7 @@ def _representative_codes(params):
     states = state_matrix(params)
     sources, pair_a, pair_b, _ = proper_pair_orbits(params.r, params.k)
     starts = sources[pair_a]
-    step = dug.verification._BLOCK_CODES >> params.k
+    step = dug.solver._MOVE_BUDGET >> (params.k + 2)
     blocks = [_construct_codes(states[starts[lo:lo + step]], states[pair_b[lo:lo + step]], params.r)
               for lo in range(0, starts.size, step)]
     offsets = np.concatenate([[0], *(np.diff(o) for o, _ in blocks)]).cumsum()
@@ -725,8 +725,8 @@ def test_replay_memory_is_bounded_by_the_block(monkeypatch):
     (2, 7) has 8 192 pair orbits, at most 127 moves each, and no pair of
     disjoint support, so the sample sets how many are solved.
     """
-    block = 1 << 14
-    monkeypatch.setattr(dug.verification, "_BLOCK_CODES", block)
+    block = 1 << 14  # a quarter of the budget the suite sizes its blocks by
+    monkeypatch.setattr(dug.verification, "_MOVE_BUDGET", block << 2)
     real = dug.verification._construct_codes
     rows, sizes = [], []
 
@@ -749,6 +749,20 @@ def test_replay_memory_is_bounded_by_the_block(monkeypatch):
     # average, a byte per code and four per visited vertex.
     assert peaks[1] - peaks[0] < 16 * 6144
     assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_blocks_are_sized_by_the_solver_budget(monkeypatch):
+    """A block holds _MOVE_BUDGET >> (k + 2) pairs: the 2 795 orbits of (4, 4) make one."""
+    real = dug.verification._construct_codes
+    rows = []
+
+    def spy(a, b, r):
+        rows.append(len(a))
+        return real(a, b, r)
+
+    monkeypatch.setattr(dug.verification, "_construct_codes", spy)
+    assert all(c.ok for c in run_verify_suite(4, 4))
+    assert rows == [2795] and dug.solver._MOVE_BUDGET >> 6 == 16384
 
 
 def test_suite_builds_each_explicit_graph_once(monkeypatch):
